@@ -88,20 +88,12 @@ let event_json (ev : Trace.event) =
     @ fields)
 
 let trace_json tr =
-  (* Sharded engines record window by window (shard-major), so ring order
-     is only per-shard chronological; a stable sort by timestamp restores
-     the global order.  On a single-queue engine the ring is already
-     time-ordered and the stable sort is the identity. *)
-  let events =
-    List.stable_sort
-      (fun a b -> Vini_sim.Time.compare a.Trace.time b.Trace.time)
-      (Trace.events tr)
-  in
+  (* The engine clock never goes back, so ring order is time order. *)
   Obj
     [
       ("capacity", Num (float_of_int (Trace.capacity tr)));
       ("overwritten", Num (float_of_int (Trace.overwritten tr)));
-      ("events", Arr (List.map event_json events));
+      ("events", Arr (List.map event_json (Trace.events tr)));
     ]
 
 let document ?trace ?(extra = []) monitors =

@@ -49,12 +49,12 @@ let root_component tree =
 
 (* -- reassembly -----------------------------------------------------------
 
-   On a single-queue engine ring records are chronological (oldest
-   retained first); a sharded engine records window by window, so order
-   is only per-shard chronological.  A single pass partitions records by
-   provenance id, then each tree's lists — and the trees themselves — are
-   stable-sorted by time, which is the identity on already-ordered
-   input and restores the global merge order otherwise. *)
+   Ring records are in recording order, which is not time order: a hop is
+   recorded when it completes, so its [t0] can precede records already in
+   the ring (a queueing hop is written at dequeue, stamped from enqueue),
+   and ring eviction can drop a tree's first records.  A single pass
+   partitions records by provenance id, then each tree's lists — and the
+   trees themselves — are stable-sorted by time. *)
 
 let trees recorder =
   let tbl : (int, tree ref) Hashtbl.t = Hashtbl.create 1024 in

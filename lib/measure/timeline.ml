@@ -37,14 +37,12 @@ let sample_now t =
   t.rows_rev <- (Time.to_sec_f (Engine.now t.engine), row) :: t.rows_rev;
   t.nsamples <- t.nsamples + 1
 
-(* The sampling clock is the engine clock: ticks are scheduled through
-   [at_barrier] (shard 0) at fixed multiples of the interval, so the
-   snapshot instants — and therefore the whole document — are a function
-   of the seed and the logical shard count, never of wall time or domain
-   count. *)
+(* The sampling clock is the engine clock: ticks are scheduled at fixed
+   multiples of the interval, so the snapshot instants — and therefore
+   the whole document — are a function of the seed, never of wall time. *)
 let rec tick t at_time =
   ignore
-    (Engine.at_barrier t.engine at_time (fun () ->
+    (Engine.at t.engine at_time (fun () ->
          if t.running then begin
            sample_now t;
            tick t (Time.add at_time t.interval)
@@ -81,8 +79,7 @@ let register t ~name read =
 let gauge = register
 
 (* ---- prewired sources (deterministic quantities only; host-clock data
-   like barrier waits or callback times must stay out — see DESIGN.md
-   §16) ---------------------------------------------------------------- *)
+   like callback times must stay out — see DESIGN.md §16) -------------- *)
 
 let watch_engine t ?(prefix = "engine") engine =
   register t ~name:(prefix ^ ".fired") (fun () ->
@@ -97,18 +94,6 @@ let watch_engine t ?(prefix = "engine") engine =
       float_of_int (Engine.max_pending engine))
 
 let watch_profile t ?(prefix = "profile") p =
-  register t ~name:(prefix ^ ".windows") (fun () ->
-      float_of_int (Profile.windows p));
-  register t ~name:(prefix ^ ".cross_posts") (fun () ->
-      float_of_int (Profile.cross_posts_total p));
-  register t ~name:(prefix ^ ".queue_hwm") (fun () ->
-      float_of_int (Profile.queue_hwm_max p));
-  register t ~name:(prefix ^ ".mailbox_hwm") (fun () ->
-      float_of_int (Profile.mailbox_hwm_max p));
-  register t ~name:(prefix ^ ".events_per_window_p95") (fun () ->
-      let h = Profile.events_per_window p in
-      if Vini_std.Histogram.is_empty h then 0.0
-      else Vini_std.Histogram.percentile h 95.0);
   register t ~name:(prefix ^ ".element_packets") (fun () ->
       float_of_int (Profile.element_packets_total p));
   register t ~name:(prefix ^ ".element_cost_s") (fun () ->

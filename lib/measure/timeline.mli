@@ -16,14 +16,13 @@
     value per series, in [series] order; rows are chronological and
     strictly increasing in time.
 
-    {b Determinism.}  Ticks ride the engine clock through
-    {!Vini_sim.Engine.at_barrier} — never wall clock — at fixed multiples
-    of the interval, so snapshot instants and values are a function of
-    the seed and logical shard count alone.  A timeline document is
-    byte-identical across [--domains 1/2/4] (CI-gated).  Sources must
+    {b Determinism.}  Ticks ride the engine clock — never wall clock —
+    at fixed multiples of the interval, so snapshot instants and values
+    are a function of the seed alone.  A timeline document is
+    byte-identical across same-seed runs (CI-gated).  Sources must
     therefore read only deterministic quantities: host-clock data (the
-    profiler's barrier waits, the engine's callback histogram) is
-    excluded from the prewired watchers by design.
+    engine's callback histogram) is excluded from the prewired watchers
+    by design.
 
     {b Allocation.}  The sampler allocates only at snapshot boundaries
     (one row per snapshot); between ticks it costs nothing, and it never
@@ -65,10 +64,8 @@ val watch_engine : t -> ?prefix:string -> Vini_sim.Engine.t -> unit
     [.max_pending] (prefix default ["engine"]). *)
 
 val watch_profile : t -> ?prefix:string -> Vini_sim.Profile.t -> unit
-(** [<prefix>.windows], [.cross_posts], [.queue_hwm], [.mailbox_hwm],
-    [.events_per_window_p95], [.element_packets], [.element_cost_s]
-    (prefix default ["profile"]).  Deliberately excludes the host-clock
-    barrier-wait histogram. *)
+(** [<prefix>.element_packets], [.element_cost_s] (prefix default
+    ["profile"]). *)
 
 val watch_pool : t -> prefix:string -> Vini_net.Pool.t -> unit
 (** [<prefix>.available], [.low_watermark], [.takes], [.exhaustions]. *)

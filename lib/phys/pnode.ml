@@ -204,7 +204,7 @@ let deliver_local ?(inline = false) t pkt =
     let lat = nic_latency t in
     (* [inline] asserts the caller is in tail position (a plink arrival or
        a kernel-work continuation); the local-send path reaches here
-       mid-callback and must take a real calendar event. *)
+       mid-callback and must take a real queued event. *)
     if inline then Engine.after_inline t.engine lat cb
     else ignore (Engine.after t.engine lat cb)
 

@@ -109,7 +109,7 @@ val deliver_local : ?inline:bool -> t -> Vini_net.Packet.t -> unit
     packet to a bound socket or answer ICMP).  Pass [~inline:true] only
     from the tail of an event callback (a plink arrival, a kernel-work
     continuation): it lets the NIC hop join the current breath.  The
-    default schedules a real calendar event and is safe anywhere. *)
+    default schedules a real queued event and is safe anywhere. *)
 
 val kernel_cpu_time : t -> Vini_sim.Time.t
 (** Total kernel CPU consumed (forwarding + local delivery). *)

@@ -1,11 +1,12 @@
 (** The discrete-event simulation engine.
 
     A single-threaded event loop over a hole-based binary min-heap
-    ({!Vini_std.Eventq}) of timestamped callbacks.  Everything in the
-    repository — links, CPU schedulers, routing timers, TCP
-    retransmissions — is expressed as events on one engine, so an entire
-    VINI deployment (physical substrate plus every slice) advances on one
-    logical clock.
+    ({!Vini_std.Eventq}) of timestamped callbacks.  This is the one
+    scheduler in the repository: links, CPU schedulers, routing timers,
+    TCP retransmissions, the fluid background model and the timeline
+    sampler are all events on one engine, so an entire VINI deployment
+    (physical substrate plus every slice) advances on one logical clock,
+    as the paper's slices share one substrate.
 
     {b Complexity.}  {!at}/{!after} and {!step} are O(log pending);
     the queue's O(1) [min_key] feeds the {!at_inline} fast path, which
@@ -16,121 +17,53 @@
     stay cheap too.
 
     {b Determinism.}  Events fire in (timestamp, scheduling order):
-    same-timestamp events drain strictly FIFO, exactly as with the
-    binary-heap and calendar queues before this one, so seeded runs are
-    bit-identical across all three scheduler implementations and across
-    hosts. *)
+    same-timestamp events drain strictly FIFO, so a seeded run is
+    bit-identical across hosts, and with {!set_profiling} on or off. *)
 
 type t
 
 type handle
 (** A scheduled event; may be cancelled before it fires. *)
 
-val create : ?seed:int -> ?shards:int -> unit -> t
+val create : ?seed:int -> unit -> t
 (** [seed] (default 42) initialises the root RNG from which subsystems
-    {!Vini_std.Rng.split} their own streams.
-
-    [shards] switches the engine into {e sharded mode}: the event space is
-    partitioned over that many logical shards, each with its own calendar
-    queue and clock, and {!run} drains them in conservative windows one
-    {!lookahead} wide.  The window schedule is a pure function of the seed
-    and the shard count — physical domain count is never consulted — so a
-    seeded sharded run produces byte-identical output however many domains
-    the host offers.  Experiment callbacks share state across shards
-    (routing tables, the trace sink, supervisors), so sharded windows here
-    execute serially in ascending shard id; {!Coordinator} is the truly
-    parallel runtime for shard-confined workloads.  Omitting [shards]
-    keeps the classic single-queue engine, bit-identical to previous
-    releases. *)
-
-val default_logical_shards : int
-(** The fixed logical shard count used by [--domains] runs (8): constant
-    so that output does not depend on the machine's core count. *)
-
-val shards : t -> int
-(** Logical shard count; 1 for a non-sharded engine. *)
-
-val is_sharded : t -> bool
-
-val shard_of : t -> int -> int
-(** [shard_of t key] maps a stable integer key (e.g. a pnode index) to its
-    shard, [key mod shards]; always 0 on a non-sharded engine. *)
-
-val current_shard : t -> int
-(** The shard whose callback is currently executing (scheduling affinity
-    of {!at}); 0 outside callbacks and on non-sharded engines. *)
-
-val at_shard : t -> shard:int -> Time.t -> (unit -> unit) -> handle
-(** Schedule on an explicit shard — the cross-shard handoff used by plinks
-    to deliver a packet at its destination pnode's shard.  The time is
-    clamped to the destination shard's clock (a deterministic, bounded
-    skew possible only for latencies below the lookahead; see DESIGN.md
-    §13).  On a non-sharded engine only [~shard:0] is valid. *)
-
-val at_barrier : t -> Time.t -> (unit -> unit) -> handle
-(** Barrier-safe scheduling for mutations every shard reads (e.g. a live
-    migration's placement flip).  The callback runs on shard 0, which
-    executes first inside every conservative window: all events in the
-    window containing the flip and every later window observe it, and the
-    only events that can precede it while carrying the old state are other
-    shards' events from {e earlier} windows — a lead bounded by one
-    lookahead, itself at most the minimum cross-shard latency.  A packet
-    already in flight across shards therefore cannot distinguish the flip
-    from a true global barrier at the window boundary.  On a non-sharded
-    engine this is exactly {!at}. *)
-
-val set_lookahead : t -> Time.t -> unit
-(** Set the conservative window width; the underlay sets it to the minimum
-    plink propagation delay (floored).  Must be positive.  No-op on a
-    non-sharded engine. *)
-
-val lookahead : t -> Time.t
-(** Current window width; {!Time.zero} on a non-sharded engine. *)
+    {!Vini_std.Rng.split} their own streams. *)
 
 val now : t -> Time.t
 val rng : t -> Vini_std.Rng.t
 
 val at : t -> Time.t -> (unit -> unit) -> handle
 (** Schedule at an absolute time (>= now, else it fires immediately at the
-    current time).  O(1) amortized. *)
+    current time).  O(log pending). *)
 
 val after : t -> Time.t -> (unit -> unit) -> handle
 (** Schedule at [now + delta]; negative deltas clamp to now. *)
 
 val at_inline : t -> Time.t -> (unit -> unit) -> unit
 (** Breath coalescing: like {!at}, but when the requested time is provably
-    {e next} in the global event order — at or before the run limit (and,
-    in sharded mode, strictly inside the current conservative window) and
-    strictly earlier than every queued event — the callback executes
-    immediately with the clock advanced, skipping the calendar entirely.
-    Otherwise it degrades to {!at}.
+    {e next} in the event order — at or before the run limit and strictly
+    earlier than every queued event — the callback executes immediately
+    with the clock advanced, skipping the queue entirely.  Otherwise it
+    degrades to {!at}.
 
     The inline execution is indistinguishable from the scheduled one:
     same callback order, same clocks, same RNG draw order, same
-    {!events_fired} count — a seeded run is byte-identical whether
-    coalescing triggers or not (asserted by tests and the CI determinism
-    gate).  What changes is cost: a burst of back-to-back packets flows
-    through CPU-service and kernel hops as one calendar event, the way a
-    Snabb breath pushes a whole batch through an app graph.
+    {!events_fired} count.  Inlining is disabled under {!set_profiling}
+    (so per-event histograms keep their meaning), which makes a profiled
+    run the non-inlined schedule; a seeded run exports the same bytes
+    either way (asserted by tests and the CI determinism gate).  What
+    changes is cost: a burst of back-to-back packets flows through
+    CPU-service and kernel hops as one queued event, the way a Snabb
+    breath pushes a whole batch through an app graph.
 
     {b Tail position only.}  The caller must invoke this as the last
     action of the currently-executing event callback (or of setup code
     outside any run, where it always degrades to {!at}): statements after
     the call would otherwise be reordered {e after} the event.  There is
-    no handle — an inline-eligible event cannot be cancelled.
-
-    Inlining is disabled under {!set_profiling} (so per-event histograms
-    keep their meaning) and by {!set_inline}[ t false] (the benchmark
-    baseline). *)
+    no handle — an inline-eligible event cannot be cancelled. *)
 
 val after_inline : t -> Time.t -> (unit -> unit) -> unit
 (** [at_inline] at [now + delta]; negative deltas clamp to now. *)
-
-val set_inline : t -> bool -> unit
-(** Enable/disable breath coalescing (default on).  Purely a performance
-    knob: runs are byte-identical either way. *)
-
-val inline_enabled : t -> bool
 
 val events_inlined : t -> int
 (** How many fired events were coalesced inline (subset of
@@ -149,14 +82,6 @@ val every : t -> ?start:Time.t -> ?jitter:Time.t -> Time.t ->
     period from now) and re-schedules while [f] returns [true].  Each firing
     is offset by a uniform random amount in [\[0, jitter\]] (default none) to
     avoid phase-locked protocol timers. *)
-
-val every_barrier : t -> ?start:Time.t -> Time.t -> (unit -> bool) -> unit
-(** [every_barrier t ~start period f] is {!every} with {!at_barrier}
-    placement: each firing runs on shard 0 first in its conservative
-    window, so periodic mutations that every shard reads (the scenario
-    fluid model's background-load fold) are race-free by construction.
-    Never jittered — barrier ticks stay phase-stable so per-tick exports
-    are byte-identical across domain counts. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Drain events in timestamp order.  With [until], stops once the next

@@ -1,18 +1,15 @@
 (* An array-based binary min-heap ordered by (key, seq), specialised for
-   the simulation engine's event queues.  The calendar queue
-   ({!Calendar}) amortises well on width-matched workloads but pays a
-   window scan per pop and a sorted list insert per push; at the queue
-   depths a VINI deployment sustains (tens to a few hundred pending
-   events) the heap's ~log2 n integer compares win, every operation works
-   in preallocated parallel arrays (push and pop allocate nothing beyond
+   the simulation engine's event queue.  At the queue depths a VINI
+   deployment sustains (tens to a few hundred pending events) the heap's
+   ~log2 n integer compares are cheap, every operation works in
+   preallocated parallel arrays (push and pop allocate nothing beyond
    [pop]'s option), and [min_key] — the breath-coalescing test the engine
    runs on every inline-eligible schedule — is a single array load.
 
    Determinism: entries carry an insertion sequence number and the heap
-   orders by (key, seq), so pop order is exactly FIFO within a timestamp
-   — bit-identical to {!Calendar} and to the binary-heap scheduler before
-   it.  Keys clamp to the same range as {!Calendar} ([0, max_int/2]);
-   clamping preserves (key, seq) order. *)
+   orders by (key, seq), so pop order is exactly FIFO within a timestamp,
+   pop for pop the order of the stable {!Heap}.  Keys clamp to
+   [0, max_int/2]; clamping preserves (key, seq) order. *)
 
 type 'a t = {
   mutable keys : int array;
@@ -166,8 +163,3 @@ let clear t =
     t.vals.(i) <- t.dummy
   done;
   t.size <- 0
-
-let iter t f =
-  for i = 0 to t.size - 1 do
-    f t.vals.(i)
-  done

@@ -1,16 +1,16 @@
 (** The engine's event queue: an array-based binary min-heap ordered by
     (key, insertion seq).
 
-    Same contract as {!Calendar} — keys are nanosecond timestamps clamped
-    to [\[0, max_int/2\]], and entries with equal keys pop strictly FIFO,
-    so a seeded simulation is bit-identical whichever queue implementation
-    the engine uses.  The heap wins at the queue depths a deployment
+    Keys are nanosecond timestamps clamped to [\[0, max_int/2\]], and
+    entries with equal keys pop strictly FIFO, matching the stable
+    {!Heap} pop for pop, so a seeded simulation is bit-identical across
+    hosts.  The heap wins at the queue depths a deployment
     sustains (tens to a few hundred pending events): push and pop are a
     handful of integer compares in preallocated parallel arrays, and
     {!min_key} — probed on every breath-coalescing decision and run-loop
     iteration — is a single array load instead of a window scan.
 
-    Not thread-safe; one queue per engine shard. *)
+    Not thread-safe; one queue per engine. *)
 
 type 'a t
 
@@ -43,6 +43,3 @@ val compact : 'a t -> dead:('a -> bool) -> int
     removed.  O(n).  Pop order over survivors is unchanged. *)
 
 val clear : 'a t -> unit
-
-val iter : 'a t -> ('a -> unit) -> unit
-(** Iterate in unspecified order. *)

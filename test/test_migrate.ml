@@ -410,14 +410,14 @@ let test_watchdog_suppresses_during_migration () =
   check Alcotest.int "aware watchdog stays silent mid-cutover" 0 during;
   check Alcotest.int "and has nothing to report once drained" 0 after
 
-(* --- determinism across domains ------------------------------------------ *)
+(* --- seeded replay ------------------------------------------------------- *)
 
-let test_planned_export_identical_across_domains () =
-  let doc d =
+let test_planned_export_identical_across_runs () =
+  let doc () =
     Vini_measure.Export.to_string
-      (Migration.run_planned ~seed:4242 ~duration:15.0 ~domains:d ()).Migration.export
+      (Migration.run_planned ~seed:4242 ~duration:15.0 ()).Migration.export
   in
-  check Alcotest.string "domains 1 = domains 2" (doc 1) (doc 2)
+  check Alcotest.string "same seed, same bytes" (doc ()) (doc ())
 
 (* --- planned vs crash, property-style ------------------------------------ *)
 
@@ -467,7 +467,7 @@ let suite =
       test_watchdog_false_positives_without_awareness;
     Alcotest.test_case "watchdog suppresses during migration" `Quick
       test_watchdog_suppresses_during_migration;
-    Alcotest.test_case "planned export identical across domains" `Quick
-      test_planned_export_identical_across_domains;
+    Alcotest.test_case "planned export identical across runs" `Quick
+      test_planned_export_identical_across_runs;
     QCheck_alcotest.to_alcotest prop_planned_lossless_crash_has_downtime;
   ]

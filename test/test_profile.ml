@@ -65,44 +65,45 @@ let test_element_attribution () =
       Alcotest.failf "expected one collapsed path, got %d"
         (List.length other)
 
-(* --- engine/shard telemetry ---------------------------------------------- *)
+(* --- the profile never perturbs the schedule ----------------------------- *)
 
-(* On the serial sharded engine, an installed profile sees windows,
-   per-shard events and explicit cross-shard posts; installing it never
-   perturbs the schedule (same final clock with and without). *)
-let test_sharded_engine_telemetry () =
+(* An installed profile only records.  A seeded run that pushes packets
+   through a Click element chain from jittered engine timers, with
+   RNG-drawn per-hop delays, fires the same events at the same times with
+   the profile installed or not, while the profile sees every packet. *)
+let test_profile_never_perturbs_schedule () =
   let run ~profiled =
-    let engine = Engine.create ~seed:11 ~shards:4 () in
+    let engine = Engine.create ~seed:11 () in
+    let rng = Engine.rng engine in
+    let log = ref [] in
+    let sink =
+      Element.make "perturb.sink" (fun _ -> log := Engine.now engine :: !log)
+    in
+    let route =
+      Element.make "perturb.route" (fun pkt ->
+          ignore
+            (Engine.after engine
+               (Time.us (1 + Vini_std.Rng.int rng 20))
+               (fun () -> Element.push sink pkt)))
+    in
     let p = Profile.create () in
     if profiled then Profile.install p;
-    let fired = ref 0 in
-    for sh = 0 to 3 do
-      ignore
-        (Engine.at_shard engine ~shard:sh (Time.ms (10 * (sh + 1)))
-           (fun () ->
-             incr fired;
-             (* A cross-shard handoff from each shard to its neighbour. *)
-             ignore
-               (Engine.at_shard engine
-                  ~shard:((sh + 1) mod 4)
-                  (Time.ms 200) (fun () -> incr fired))))
-    done;
+    let sent = ref 0 in
+    Engine.every engine ~jitter:(Time.us 50) (Time.ms 1) (fun () ->
+        Element.push route (udp ());
+        incr sent;
+        !sent < 100);
     Engine.run ~until:(Time.sec 1) engine;
     Profile.uninstall ();
-    (!fired, Engine.now engine, p)
+    (List.rev !log, Engine.events_fired engine, p)
   in
-  let fired_off, clock_off, _ = run ~profiled:false in
-  let fired_on, clock_on, p = run ~profiled:true in
+  let times_off, fired_off, _ = run ~profiled:false in
+  let times_on, fired_on, p = run ~profiled:true in
+  check Alcotest.int "every packet delivered" 100 (List.length times_on);
+  check Alcotest.(list int) "same delivery times" times_off times_on;
   check Alcotest.int "same events fired" fired_off fired_on;
-  check Alcotest.bool "same final clock" true
-    (Time.compare clock_off clock_on = 0);
-  check Alcotest.bool "windows recorded" true (Profile.windows p > 0);
-  check Alcotest.int "window hist matches count" (Profile.windows p)
-    (Vini_std.Histogram.count (Profile.events_per_window p));
-  check Alcotest.int "shard events sum to fired" 8
-    (Array.fold_left ( + ) 0 (Profile.shard_events p));
-  check Alcotest.bool "cross-shard posts seen" true
-    (Profile.cross_posts_total p >= 4)
+  check Alcotest.int "profile saw both classes" 200
+    (Profile.element_packets_total p)
 
 (* --- watermark monotonicity ---------------------------------------------- *)
 
@@ -209,18 +210,88 @@ let test_timeline_roundtrip_escaping () =
       check (Alcotest.float 1e-9) "after mutation" 1.5 r2.(0)
   | _ -> Alcotest.fail "expected snapshots"
 
-(* --- timeline: byte identity across domain counts ------------------------ *)
+(* --- engine profiling never changes what a run exports ------------------- *)
 
-let test_timeline_domain_byte_identity () =
-  let doc1, mbps1 =
-    Vini_repro.Deter.timeline_run ~duration_s:1 ~interval_ms:250 ~domains:1 ()
+(* [Engine.set_profiling] turns breath inlining off, so a profiled run
+   takes the fully queued schedule where an unprofiled one coalesces
+   events inline.  The DETER flight-recorder scenario (IIAS overlay, bulk
+   TCP, every packet's causal tree) must export the same bytes either
+   way. *)
+let deter_spans ~profiling =
+  let module Datasets = Vini_topo.Datasets in
+  let module Iias = Vini_overlay.Iias in
+  let module Tcp = Vini_transport.Tcp in
+  let module Trace = Vini_sim.Trace in
+  let module Span = Vini_sim.Span in
+  let engine = Engine.create ~seed:5001 () in
+  Engine.set_profiling engine profiling;
+  let underlay =
+    Vini_phys.Underlay.create ~engine
+      ~rng:(Vini_std.Rng.split (Engine.rng engine))
+      ~graph:(Datasets.Deter.topology ()) ()
   in
-  let doc2, mbps2 =
-    Vini_repro.Deter.timeline_run ~duration_s:1 ~interval_ms:250 ~domains:2 ()
+  let iias =
+    Iias.create ~underlay ~slice:(Vini_phys.Slice.pl_vini "iias")
+      ~vtopo:(Datasets.Deter.topology ()) ~embedding:Fun.id ()
   in
-  check (Alcotest.float 1e-9) "same throughput" mbps1 mbps2;
-  check Alcotest.string "byte-identical document"
-    (Export.to_string doc1) (Export.to_string doc2)
+  Iias.start iias;
+  let trace = Trace.create ~capacity:256 ~categories:[ Trace.Category.Span ] () in
+  Trace.install trace;
+  let recorder = Span.create ~capacity:16_384 () in
+  Span.install recorder;
+  let src = Iias.vnode iias Datasets.Deter.src in
+  let sink = Iias.vnode iias Datasets.Deter.sink in
+  Engine.run ~until:(Time.sec 25) engine;
+  Tcp.listen ~stack:(Iias.tap sink) ~port:5001 ~on_accept:ignore ();
+  let conn =
+    Tcp.connect ~stack:(Iias.tap src) ~dst:(Iias.tap_addr sink) ~dst_port:5001 ()
+  in
+  Tcp.send_forever conn;
+  Engine.run ~until:(Time.sec 26) engine;
+  Span.uninstall ();
+  Trace.uninstall ();
+  ( Export.to_string (Export.spans_document recorder),
+    Engine.events_inlined engine,
+    (Tcp.stats conn).Tcp.bytes_acked )
+
+(* Packet ids come from a process-wide counter, so each run gets a fresh
+   process, exactly like two CLI invocations. *)
+let in_child (f : unit -> 'a) : 'a =
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close r;
+      let code =
+        try
+          let oc = Unix.out_channel_of_descr w in
+          Marshal.to_channel oc (f ()) [];
+          close_out oc;
+          0
+        with _ -> 2
+      in
+      Unix._exit code
+  | pid -> (
+      Unix.close w;
+      let ic = Unix.in_channel_of_descr r in
+      let v = try Some (Marshal.from_channel ic : 'a) with End_of_file -> None in
+      close_in ic;
+      ignore (Unix.waitpid [] pid);
+      match v with Some v -> v | None -> Alcotest.fail "child run failed")
+
+let test_profiling_spans_byte_identity () =
+  let doc_off, inlined_off, acked_off =
+    in_child (fun () -> deter_spans ~profiling:false)
+  in
+  let doc_on, inlined_on, acked_on =
+    in_child (fun () -> deter_spans ~profiling:true)
+  in
+  (* The two runs really take different schedules... *)
+  check Alcotest.bool "unprofiled run inlines" true (inlined_off > 0);
+  check Alcotest.int "profiled run never inlines" 0 inlined_on;
+  check Alcotest.bool "traffic flowed" true (acked_off > 0);
+  (* ...and export the same bytes. *)
+  check Alcotest.int "same bytes acked" acked_off acked_on;
+  check Alcotest.string "byte-identical spans export" doc_off doc_on
 
 (* --- timeline: allocation only at snapshot boundaries -------------------- *)
 
@@ -387,14 +458,14 @@ let test_spans_document_profile_sections () =
 let suite =
   [
     Alcotest.test_case "element attribution" `Quick test_element_attribution;
-    Alcotest.test_case "sharded engine telemetry" `Quick
-      test_sharded_engine_telemetry;
+    Alcotest.test_case "profile never perturbs the schedule" `Quick
+      test_profile_never_perturbs_schedule;
     Alcotest.test_case "watermark monotonicity" `Quick
       test_watermark_monotonicity;
     Alcotest.test_case "timeline roundtrip+escaping" `Quick
       test_timeline_roundtrip_escaping;
-    Alcotest.test_case "timeline domain byte-identity" `Slow
-      test_timeline_domain_byte_identity;
+    Alcotest.test_case "spans identical with profiling on/off" `Slow
+      test_profiling_spans_byte_identity;
     Alcotest.test_case "timeline Gc snapshot boundary" `Quick
       test_timeline_gc_snapshot_boundary;
     Alcotest.test_case "burst span per-hop tiling" `Quick

@@ -1,9 +1,9 @@
-(* Unit and property tests for Vini_std: rng, heap, calendar, stats,
-   fifo. *)
+(* Unit and property tests for Vini_std: rng, heap, eventq, stats,
+   fifo, histogram. *)
 
 module Rng = Vini_std.Rng
 module Heap = Vini_std.Heap
-module Calendar = Vini_std.Calendar
+module Eventq = Vini_std.Eventq
 module Stats = Vini_std.Stats
 module Fifo = Vini_std.Fifo
 module Histogram = Vini_std.Histogram
@@ -131,106 +131,109 @@ let prop_heap_sorts =
       in
       drain [] = List.sort compare xs)
 
-(* --- calendar ----------------------------------------------------------- *)
+(* --- eventq ------------------------------------------------------------- *)
 
-let drain_calendar c =
+let eq () = Eventq.create ~dummy:0 ()
+
+let drain_eventq q =
   let rec go acc =
-    match Calendar.pop c with None -> List.rev acc | Some x -> go (x :: acc)
+    match Eventq.pop q with None -> List.rev acc | Some x -> go (x :: acc)
   in
   go []
 
-let test_calendar_sorted_drain () =
-  let c = Calendar.create () in
-  List.iter
-    (fun k -> Calendar.push c ~key:k k)
-    [ 5; 3; 8; 1; 9; 2; 7 ];
-  check Alcotest.(list int) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain_calendar c)
+let test_eventq_sorted_drain () =
+  let q = eq () in
+  List.iter (fun k -> Eventq.push q ~key:k k) [ 5; 3; 8; 1; 9; 2; 7 ];
+  check Alcotest.(list int) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain_eventq q)
 
-let test_calendar_fifo_ties () =
-  let c = Calendar.create () in
+let test_eventq_fifo_ties () =
+  let q = Eventq.create ~dummy:"" () in
   List.iter
-    (fun (k, v) -> Calendar.push c ~key:k v)
+    (fun (k, v) -> Eventq.push q ~key:k v)
     [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
-  check Alcotest.(list string) "stable" [ "z"; "a"; "b"; "c" ]
-    (drain_calendar c)
+  check Alcotest.(list string) "stable" [ "z"; "a"; "b"; "c" ] (drain_eventq q)
 
-let test_calendar_negative_clamp () =
-  let c = Calendar.create () in
-  Calendar.push c ~key:(-5) "neg";
-  Calendar.push c ~key:0 "zero";
-  (* Clamped to 0, so FIFO between the two decides. *)
-  check Alcotest.(list string) "clamped to 0, fifo" [ "neg"; "zero" ]
-    (drain_calendar c)
+let test_eventq_clamp () =
+  let q = Eventq.create ~dummy:"" () in
+  Eventq.push q ~key:max_int "huge";
+  Eventq.push q ~key:(-5) "neg";
+  Eventq.push q ~key:(max_int / 2) "top";
+  Eventq.push q ~key:0 "zero";
+  Eventq.push q ~key:min_int "min";
+  check Alcotest.int "negative keys clamp to 0" 0 (Eventq.min_key q);
+  (* Clamped keys tie with in-range ones, so (key, seq) order decides. *)
+  check Alcotest.(list string) "clamped, fifo within a key"
+    [ "neg"; "zero"; "min"; "huge"; "top" ]
+    (drain_eventq q)
 
-let test_calendar_cursor_rewind () =
-  (* A key below everything already popped must still come out first. *)
-  let c = Calendar.create () in
-  Calendar.push c ~key:1_000_000_000 1;
-  check Alcotest.(option int) "first pop" (Some 1) (Calendar.pop c);
-  Calendar.push c ~key:5 2;
-  Calendar.push c ~key:2_000_000_000 3;
-  check Alcotest.(list int) "rewound past pop" [ 2; 3 ] (drain_calendar c)
-
-let test_calendar_resize_adapts () =
-  let c = Calendar.create () in
-  let initial = Calendar.nbuckets c in
-  for i = 1 to 10_000 do
-    Calendar.push c ~key:(i * 1_000) i
+let test_eventq_growth () =
+  let q = Eventq.create ~capacity:1 ~dummy:0 () in
+  for i = 10_000 downto 1 do
+    Eventq.push q ~key:(i * 1_000) i
   done;
-  check Alcotest.bool "buckets grew" true (Calendar.nbuckets c > initial);
-  check Alcotest.int "length" 10_000 (Calendar.length c);
+  check Alcotest.int "length" 10_000 (Eventq.length q);
   check Alcotest.(list int) "still sorted" (List.init 10_000 (fun i -> i + 1))
-    (drain_calendar c);
-  check Alcotest.bool "buckets shrank back" true
-    (Calendar.nbuckets c <= initial);
-  check Alcotest.bool "empty" true (Calendar.is_empty c)
+    (drain_eventq q);
+  check Alcotest.bool "empty" true (Eventq.is_empty q)
 
-let test_calendar_peek_pop_agree () =
-  let c = Calendar.create () in
-  List.iter (fun k -> Calendar.push c ~key:k k) [ 9; 4; 6 ];
-  check Alcotest.(option int) "peek min" (Some 4) (Calendar.peek c);
-  check Alcotest.(option int) "pop same" (Some 4) (Calendar.pop c);
-  check Alcotest.(option int) "next peek" (Some 6) (Calendar.peek c)
+let test_eventq_peek_pop_agree () =
+  let q = eq () in
+  check Alcotest.int "empty min_key" max_int (Eventq.min_key q);
+  check Alcotest.(option int) "empty peek" None (Eventq.peek q);
+  List.iter (fun k -> Eventq.push q ~key:k k) [ 9; 4; 6 ];
+  check Alcotest.(option int) "peek min" (Some 4) (Eventq.peek q);
+  check Alcotest.int "min_key = key of peek" 4 (Eventq.min_key q);
+  check Alcotest.(option int) "pop same" (Some 4) (Eventq.pop q);
+  check Alcotest.(option int) "next peek" (Some 6) (Eventq.peek q);
+  check Alcotest.int "next min_key" 6 (Eventq.min_key q)
 
-let test_calendar_compact () =
-  let c = Calendar.create () in
+let test_eventq_compact () =
+  let q = eq () in
   for i = 1 to 100 do
-    Calendar.push c ~key:i i
+    Eventq.push q ~key:(i mod 7) i
   done;
-  let removed = Calendar.compact c ~dead:(fun v -> v mod 3 = 0) in
+  let removed = Eventq.compact q ~dead:(fun v -> v mod 3 = 0) in
   check Alcotest.int "removed count" 33 removed;
-  check Alcotest.int "length updated" 67 (Calendar.length c);
-  check Alcotest.bool "survivors intact" true
-    (List.for_all (fun v -> v mod 3 <> 0) (drain_calendar c))
+  check Alcotest.int "length updated" 67 (Eventq.length q);
+  let expected =
+    List.init 100 (fun i -> i + 1)
+    |> List.filter (fun v -> v mod 3 <> 0)
+    |> List.stable_sort (fun a b -> compare (a mod 7) (b mod 7))
+  in
+  check Alcotest.(list int) "survivors keep (key, seq) order" expected
+    (drain_eventq q)
 
-let test_calendar_clear () =
-  let c = Calendar.create () in
-  Calendar.push c ~key:7 ();
-  Calendar.clear c;
-  check Alcotest.bool "cleared" true (Calendar.is_empty c);
-  check Alcotest.(option unit) "pop empty" None (Calendar.pop c)
+let test_eventq_clear () =
+  let q = eq () in
+  Eventq.push q ~key:7 7;
+  Eventq.clear q;
+  check Alcotest.bool "cleared" true (Eventq.is_empty q);
+  check Alcotest.int "cleared min_key" max_int (Eventq.min_key q);
+  check Alcotest.(option int) "pop empty" None (Eventq.pop q)
 
-(* The determinism contract the engine swap rests on: on any interleaving
-   of schedule/cancel/pop — tie-heavy keys included — the calendar agrees
-   with the stable heap op for op.  Cancellation is modelled the way the
-   engine does it: mark dead, sweep the calendar with [compact], have the
-   heap skip dead entries on pop. *)
-let prop_calendar_matches_heap =
+(* The determinism contract the engine rests on: on any interleaving of
+   schedule/cancel/pop — tie-heavy, spread and out-of-range keys — the
+   event queue agrees with the stable heap op for op, and [min_key] is
+   always the (clamped) key of the entry [peek] returns.  Cancellation is
+   modelled the way the engine does it: mark dead, sweep the queue with
+   [compact], have the heap skip dead entries on pop. *)
+let prop_eventq_matches_heap =
   let open QCheck in
   let gen_ops =
     Gen.(
       list_size (int_range 200 500)
-        (pair (int_range 0 9) (pair (int_range 0 60) bool)))
+        (pair (int_range 0 9) (pair (int_range 0 60) (int_range 0 3))))
   in
-  Test.make ~name:"calendar pop order = stable heap" ~count:25
+  Test.make ~name:"eventq pop order = stable heap" ~count:25
     (make gen_ops) (fun ops ->
-      let cal = Calendar.create () in
+      let q = eq () in
       let heap =
         Heap.create ~cmp:(fun (k1, s1, _) (k2, s2, _) ->
             match Int.compare k1 k2 with
             | 0 -> Int.compare s1 s2
             | c -> c)
       in
+      let key_of = Hashtbl.create 64 in
       let dead = Hashtbl.create 64 in
       let next_id = ref 0 in
       let seq = ref 0 in
@@ -241,38 +244,54 @@ let prop_calendar_matches_heap =
         | Some (_, _, id) when Hashtbl.mem dead id -> heap_pop_live ()
         | Some (_, _, id) -> Some id
       in
+      let check_min () =
+        ok :=
+          !ok
+          &&
+          match Eventq.peek q with
+          | None -> Eventq.min_key q = max_int
+          | Some id -> Eventq.min_key q = Hashtbl.find key_of id
+      in
       List.iter
-        (fun (tag, (k, spread)) ->
+        (fun (tag, (k, shape)) ->
           if tag <= 4 then begin
-            (* Schedule: tie-dense small keys, or spread out over ms. *)
-            let key = if spread then k * 1_000_037 else k in
+            (* Schedule: tie-dense small keys, keys spread out over ms,
+               or keys outside [0, max_int/2] that must clamp. *)
+            let key, clamped =
+              match shape with
+              | 0 -> (k, k)
+              | 1 -> (k * 1_000_037, k * 1_000_037)
+              | 2 -> (-k - 1, 0)
+              | _ -> ((max_int / 2) + k + 1, max_int / 2)
+            in
             let id = !next_id in
             incr next_id;
             incr seq;
-            Calendar.push cal ~key id;
-            Heap.push heap (key, !seq, id)
+            Hashtbl.replace key_of id clamped;
+            Eventq.push q ~key id;
+            Heap.push heap (clamped, !seq, id)
           end
           else if tag <= 6 && !next_id > 0 then begin
-            (* Cancel a random id; sweep the calendar immediately. *)
+            (* Cancel a random id; sweep the queue immediately. *)
             Hashtbl.replace dead (k * 7 mod !next_id) ();
-            ignore (Calendar.compact cal ~dead:(Hashtbl.mem dead))
+            ignore (Eventq.compact q ~dead:(Hashtbl.mem dead))
           end
           else begin
+            (* The queue was compacted on every cancel, so it holds
+               exactly the live set the heap model pops from. *)
             match heap_pop_live () with
-            | None -> ok := !ok && Calendar.pop cal = None
-            | Some id ->
-                (* The calendar may still hold dead entries the heap model
-                   skipped; it was just compacted on cancel, so it holds
-                   exactly the live set. *)
-                ok := !ok && Calendar.pop cal = Some id
-          end)
+            | None -> ok := !ok && Eventq.pop q = None
+            | Some id -> ok := !ok && Eventq.pop q = Some id
+          end;
+          check_min ())
         ops;
       (* Drain the rest. *)
       let rec drain () =
         match heap_pop_live () with
-        | None -> ok := !ok && Calendar.pop cal = None
+        | None -> ok := !ok && Eventq.pop q = None
         | Some id ->
-            ok := !ok && Calendar.pop cal = Some id;
+            ok := !ok && Eventq.pop q = Some id;
+            check_min ();
             drain ()
       in
       drain ();
@@ -451,16 +470,16 @@ let suite =
     Alcotest.test_case "heap peek/length/clear" `Quick test_heap_peek_length;
     Alcotest.test_case "heap pop_exn raises" `Quick test_heap_pop_exn;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
-    Alcotest.test_case "calendar sorted drain" `Quick test_calendar_sorted_drain;
-    Alcotest.test_case "calendar fifo ties" `Quick test_calendar_fifo_ties;
-    Alcotest.test_case "calendar clamps negative keys" `Quick
-      test_calendar_negative_clamp;
-    Alcotest.test_case "calendar cursor rewind" `Quick test_calendar_cursor_rewind;
-    Alcotest.test_case "calendar resize adapts" `Quick test_calendar_resize_adapts;
-    Alcotest.test_case "calendar peek/pop agree" `Quick test_calendar_peek_pop_agree;
-    Alcotest.test_case "calendar compact" `Quick test_calendar_compact;
-    Alcotest.test_case "calendar clear" `Quick test_calendar_clear;
-    QCheck_alcotest.to_alcotest prop_calendar_matches_heap;
+    Alcotest.test_case "eventq sorted drain" `Quick test_eventq_sorted_drain;
+    Alcotest.test_case "eventq fifo ties" `Quick test_eventq_fifo_ties;
+    Alcotest.test_case "eventq clamps negative and huge keys" `Quick
+      test_eventq_clamp;
+    Alcotest.test_case "eventq grows past capacity" `Quick test_eventq_growth;
+    Alcotest.test_case "eventq peek/pop/min_key agree" `Quick
+      test_eventq_peek_pop_agree;
+    Alcotest.test_case "eventq compact" `Quick test_eventq_compact;
+    Alcotest.test_case "eventq clear" `Quick test_eventq_clear;
+    QCheck_alcotest.to_alcotest prop_eventq_matches_heap;
     Alcotest.test_case "stats basic moments" `Quick test_stats_basic;
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
