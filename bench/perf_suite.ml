@@ -94,6 +94,39 @@ let churn_eventq () =
         Vini_std.Eventq.push q ~key:k' k'
   done
 
+(* ---- Timer re-arm ----------------------------------------------------- *)
+
+(* The TCP retransmission-timer pattern: one deadline pushed back on
+   every ack while [sched_pending] other timers wait beyond it.  The old
+   idiom cancels the armed event and schedules a fresh one — a queue
+   push per re-arm, and dead entries for the compaction sweep to clear;
+   [Engine.Timer.arm] records the later deadline in place.  Both sides
+   build the same engine and move the deadline 1 ns later per op. *)
+
+let rearm_ops = scale 1_000_000
+
+let rearm ~timer () =
+  let module Engine = Vini_sim.Engine in
+  let module Time = Vini_sim.Time in
+  let engine = Engine.create ~seed:5 () in
+  for _ = 1 to sched_pending do
+    ignore (Engine.at engine (Time.sec 1_000_000) ignore)
+  done;
+  let deadline i = Time.add (Time.ms 200) (Time.ns i) in
+  if timer then begin
+    let tm = Engine.Timer.create engine in
+    for i = 0 to rearm_ops do
+      Engine.Timer.arm_after tm (deadline i)
+    done
+  end
+  else begin
+    let h = ref (Engine.after engine (deadline 0) ignore) in
+    for i = 1 to rearm_ops do
+      Engine.cancel !h;
+      h := Engine.after engine (deadline i) ignore
+    done
+  end
+
 (* ---- LPM lookup ------------------------------------------------------- *)
 
 (* An Abilene-scale-and-then-some table (2k prefixes, /8../28) probed two
@@ -556,6 +589,12 @@ let run () =
     (if fast then ", fast mode" else "");
   let heap_b = bench ~name:"sched.heap_churn" ~ops:sched_ops churn_heap in
   let evq_b = bench ~name:"sched.eventq_churn" ~ops:sched_ops churn_eventq in
+  let rearm_cancel_b =
+    bench ~name:"sched.rearm_cancel" ~ops:rearm_ops (rearm ~timer:false)
+  in
+  let rearm_timer_b =
+    bench ~name:"sched.rearm_timer" ~ops:rearm_ops (rearm ~timer:true)
+  in
   let table = lpm_table (Rng.create 7) in
   let refer = Fib_reference.create () in
   let fib = Fib.create () in
@@ -624,7 +663,7 @@ let run () =
   let spans_off_a, spans_on, spans_off_b = spans_benches () in
   let prof_off_a, prof_on, prof_off_b = profiler_benches () in
   let benches =
-    [ heap_b; evq_b; ref_flow; fib_flow;
+    [ heap_b; evq_b; rearm_cancel_b; rearm_timer_b; ref_flow; fib_flow;
       ref_uni; fib_uni; embed_greedy; embed_online; scen_gen_b; scen_wl_b;
       scen_greedy; scen_online; migrate_b; dp_single;
       dp_batch; macro_b; spans_off_a; spans_on; spans_off_b; prof_off_a;
@@ -634,6 +673,8 @@ let run () =
     [
       (* The engine's queue vs the generic heap it started from. *)
       ("scheduler_churn", heap_b, evq_b);
+      (* Re-arming one deadline: cancel + after vs Engine.Timer.arm. *)
+      ("timer_rearm", rearm_cancel_b, rearm_timer_b);
       ("lpm_lookup_flow", ref_flow, fib_flow);
       ("lpm_lookup_uniform", ref_uni, fib_uni);
       (* The batched data plane: one engine event per 64-packet breath vs

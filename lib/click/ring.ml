@@ -54,7 +54,7 @@ let pop t =
 
 let pop_into t batch ~max =
   let cap = Array.length t.slots in
-  let n = min t.len (min max (Batch.capacity batch - Batch.length batch)) in
+  let n = Int.min t.len (Int.min max (Batch.capacity batch - Batch.length batch)) in
   let idx = ref t.head in
   for _ = 1 to n do
     ignore (Batch.add batch (Array.unsafe_get t.slots !idx));

@@ -21,7 +21,7 @@ type t = {
   mutable received : int;
   mutable outstanding : int option;        (* seq awaiting reply *)
   mutable sent_at : Time.t;
-  mutable timeout_h : Engine.handle option;
+  timeout : Engine.Timer.t; (* reply deadline of the newest probe *)
   rtts : Vini_std.Stats.t;
   mutable series_rev : (float * float) list;
   mutable finished : bool;
@@ -31,7 +31,7 @@ type t = {
 let finish t =
   if not t.finished then begin
     t.finished <- true;
-    (match t.timeout_h with Some h -> Engine.cancel h | None -> ());
+    Engine.Timer.disarm t.timeout;
     List.iter (fun f -> f ()) t.finish_hooks
   end
 
@@ -56,14 +56,7 @@ let rec send_next t =
     Ipstack.send t.stack
       (Packet.icmp ~src:(Ipstack.local_addr t.stack) ~dst:t.dst echo);
     (* Unanswered probes give way to the next one after the timeout. *)
-    (match t.timeout_h with Some h -> Engine.cancel h | None -> ());
-    t.timeout_h <-
-      Some
-        (Engine.after t.engine t.reply_timeout (fun () ->
-             if t.outstanding = Some seq then begin
-               t.outstanding <- None;
-               schedule_next t ~after:Time.zero
-             end))
+    Engine.Timer.arm_after t.timeout t.reply_timeout
   end
 
 and schedule_next t ~after =
@@ -83,8 +76,7 @@ let on_reply t (e : Packet.echo) =
     match t.outstanding with
     | Some seq when seq = e.Packet.icmp_seq ->
         t.outstanding <- None;
-        (match t.timeout_h with Some h -> Engine.cancel h | None -> ());
-        t.timeout_h <- None;
+        Engine.Timer.disarm t.timeout;
         let gap =
           match t.mode with
           | Flood ->
@@ -100,6 +92,14 @@ let on_reply t (e : Packet.echo) =
         (* A late reply: the timeout already moved the schedule along. *)
         ()
   end
+
+(* The timer was last armed by the newest probe, [t.sent - 1]. *)
+let on_timeout t =
+  match t.outstanding with
+  | Some seq when seq = t.sent - 1 ->
+      t.outstanding <- None;
+      schedule_next t ~after:Time.zero
+  | Some _ | None -> ()
 
 let start ~stack ~dst ~count ?(mode = Flood) ?(payload_bytes = 56)
     ?(reply_timeout = Time.sec 1) () =
@@ -118,13 +118,14 @@ let start ~stack ~dst ~count ?(mode = Flood) ?(payload_bytes = 56)
       received = 0;
       outstanding = None;
       sent_at = Time.zero;
-      timeout_h = None;
+      timeout = Engine.Timer.create (Ipstack.engine stack);
       rtts = Vini_std.Stats.create ();
       series_rev = [];
       finished = false;
       finish_hooks = [];
     }
   in
+  Engine.Timer.on_fire t.timeout (fun () -> on_timeout t);
   Ipstack.set_icmp_handler stack (fun pkt ->
       match pkt.Packet.proto with
       | Packet.Icmp (Packet.Echo_reply e) -> on_reply t e

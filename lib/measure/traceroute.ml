@@ -19,7 +19,7 @@ type t = {
   on_done : hop list -> unit;
   mutable current_ttl : int;
   mutable sent_at : Time.t;
-  mutable timeout_h : Engine.handle option;
+  timeout : Engine.Timer.t; (* armed while a probe is outstanding *)
   mutable hops_rev : hop list;
   mutable reached : bool;
   mutable finished : bool;
@@ -30,7 +30,7 @@ let next_ident = ref 0x6000
 let finish t =
   if not t.finished then begin
     t.finished <- true;
-    (match t.timeout_h with Some h -> Engine.cancel h | None -> ());
+    Engine.Timer.disarm t.timeout;
     t.on_done (List.rev t.hops_rev)
   end
 
@@ -50,18 +50,13 @@ let rec probe t =
     Ipstack.send t.stack
       (Packet.icmp ~ttl:t.current_ttl ~src:(Ipstack.local_addr t.stack)
          ~dst:t.dst echo);
-    t.timeout_h <-
-      Some
-        (Engine.after t.engine t.probe_timeout (fun () ->
-             t.timeout_h <- None;
-             record t None))
+    Engine.Timer.arm_after t.timeout t.probe_timeout
   end
 
 and record t responder =
   let rtt_ms = Time.to_ms_f (Time.sub (Engine.now t.engine) t.sent_at) in
   t.hops_rev <- { ttl = t.current_ttl; responder; rtt_ms } :: t.hops_rev;
-  (match t.timeout_h with Some h -> Engine.cancel h | None -> ());
-  t.timeout_h <- None;
+  Engine.Timer.disarm t.timeout;
   t.current_ttl <- t.current_ttl + 1;
   probe t
 
@@ -79,20 +74,22 @@ let start ~stack ~dst ?(max_ttl = 30) ?(probe_timeout = Time.sec 1)
       on_done;
       current_ttl = 1;
       sent_at = Time.zero;
-      timeout_h = None;
+      timeout = Engine.Timer.create (Ipstack.engine stack);
       hops_rev = [];
       reached = false;
       finished = false;
     }
   in
+  Engine.Timer.on_fire t.timeout (fun () -> record t None);
   Ipstack.set_icmp_handler stack (fun pkt ->
       if not t.finished then
         match pkt.Packet.proto with
         | Packet.Icmp (Packet.Time_exceeded o)
-          when Vini_net.Addr.equal o.orig_dst t.dst && t.timeout_h <> None ->
+          when Vini_net.Addr.equal o.orig_dst t.dst
+               && Engine.Timer.is_armed t.timeout ->
             record t (Some pkt.Packet.src)
         | Packet.Icmp (Packet.Echo_reply e)
-          when e.Packet.ident = t.ident && t.timeout_h <> None ->
+          when e.Packet.ident = t.ident && Engine.Timer.is_armed t.timeout ->
             t.reached <- true;
             record t (Some pkt.Packet.src)
         | Packet.Icmp (Packet.Echo_request e) ->

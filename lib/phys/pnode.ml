@@ -8,6 +8,7 @@ type t = {
   rng : Vini_std.Rng.t;
   id : int;
   name : string;
+  kernel_comp : string; (* flight-recorder component, precomputed *)
   addr : Vini_net.Addr.t;
   cpu : Cpu.t;
   (* Kernel per-packet costs, scaled to this node's speed once at creation
@@ -53,6 +54,7 @@ let create ~engine ~rng ~id ~name ~addr ~cpu () =
         rng;
         id;
         name;
+        kernel_comp = name ^ ".kernel";
         addr;
         cpu;
         cost_forward =
@@ -168,11 +170,10 @@ let kernel_work ?pkt t cost k =
      match pkt with
      | None -> ()
      | Some p ->
-         let comp = t.name ^ ".kernel" in
          if Time.compare start now > 0 then
-           Span.hop ~pkt:p.Packet.id ~orig:p.Packet.orig ~component:comp
-             Span.Queueing ~t0:now ~t1:start;
-         Span.hop ~pkt:p.Packet.id ~orig:p.Packet.orig ~component:comp
+           Span.hop ~pkt:p.Packet.id ~orig:p.Packet.orig
+             ~component:t.kernel_comp Span.Queueing ~t0:now ~t1:start;
+         Span.hop ~pkt:p.Packet.id ~orig:p.Packet.orig ~component:t.kernel_comp
            Span.Cpu_service ~t0:start ~t1:finish);
   (* Tail position: both callers invoke [kernel_work] as the last action
      of a NIC event, so the continuation may join the current breath. *)

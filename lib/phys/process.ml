@@ -178,7 +178,7 @@ let create ~node ~slice ~name ?(cost_of = default_cost) ?(burst = 1) ~handler
           (* Budget a burst: up to [burst] packets from this source,
              charged the sum of their individual costs — batching buys
              fewer scheduler events, never cheaper CPU. *)
-          let n = min t.burst (source_pending s) in
+          let n = Int.min t.burst (source_pending s) in
           t.planned <- n;
           let total = ref Time.zero in
           for i = 0 to n - 1 do
@@ -292,7 +292,7 @@ let create ~node ~slice ~name ?(cost_of = default_cost) ?(burst = 1) ~handler
         else begin
           (* Serve exactly what was budgeted (or less if the handler
              crashed the process mid-burst and the sources drained). *)
-          let n = max 1 t.planned in
+          let n = Int.max 1 t.planned in
           if Span.on () then serve_burst_spanned s n
           else begin
             let k = ref 0 in

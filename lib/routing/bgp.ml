@@ -67,7 +67,7 @@ type peer = {
   mutable established : bool;
   mutable import_rejected : int;
   mutable adj_in : path Pmap.t;
-  mutable hold_timer : Engine.handle option;
+  hold_timer : Engine.Timer.t; (* pushed back by every message *)
   mutable pending : change Pmap.t;   (* MRAI batch *)
   mutable mrai_timer : Engine.handle option;
 }
@@ -267,14 +267,13 @@ let peer_full_table t peer =
       | None -> ())
     t.loc
 
-let rec peer_down t peer =
+let peer_down t peer =
   if peer.established then begin
     peer.established <- false;
     t.session_resets <- t.session_resets + 1;
     let affected = Pmap.fold (fun p _ acc -> p :: acc) peer.adj_in [] in
     peer.adj_in <- Pmap.empty;
-    (match peer.hold_timer with Some h -> Engine.cancel h | None -> ());
-    peer.hold_timer <- None;
+    Engine.Timer.disarm peer.hold_timer;
     (match peer.mrai_timer with Some h -> Engine.cancel h | None -> ());
     peer.mrai_timer <- None;
     peer.pending <- Pmap.empty;
@@ -287,10 +286,7 @@ let rec peer_down t peer =
              post t peer (Open { asn = t.config.asn; rid = t.config.rid })))
   end
 
-and reset_hold t peer =
-  (match peer.hold_timer with Some h -> Engine.cancel h | None -> ());
-  peer.hold_timer <-
-    Some (Engine.after t.engine t.config.hold_time (fun () -> peer_down t peer))
+let reset_hold t peer = Engine.Timer.arm_after peer.hold_timer t.config.hold_time
 
 let handle_msg t peer m =
   match m with
@@ -356,12 +352,13 @@ let add_peer t ~name ~kind ~send ?(export = fun _ -> true)
         established = false;
         import_rejected = 0;
         adj_in = Pmap.empty;
-        hold_timer = None;
+        hold_timer = Engine.Timer.create t.engine;
         pending = Pmap.empty;
         mrai_timer = None;
       }
   in
   let peer = Lazy.force peer in
+  Engine.Timer.on_fire peer.hold_timer (fun () -> peer_down t peer);
   t.peers <- t.peers @ [ peer ];
   pid
 

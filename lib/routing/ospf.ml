@@ -47,7 +47,7 @@ type nbr = {
   iface : Io.iface;
   mutable rid : int option;
   mutable full : bool;
-  mutable dead_timer : Engine.handle option;
+  dead_timer : Engine.Timer.t; (* pushed back by every hello *)
   (* Reliable flooding: LSAs sent to this neighbour and not yet
      acknowledged, keyed by origin (only the newest per origin matters). *)
   retx : (int, lsa) Hashtbl.t;
@@ -68,28 +68,6 @@ type t = {
   mutable spf_hooks : (unit -> unit) list;
   mutable stopped : bool;
 }
-
-let create ~engine ~rng ~config ~ifaces ~rib =
-  {
-    engine;
-    rng;
-    config;
-    nbrs =
-      List.map
-        (fun iface ->
-          { iface; rid = None; full = false; dead_timer = None;
-            retx = Hashtbl.create 8 })
-        ifaces;
-    rib;
-    lsdb = Hashtbl.create 16;
-    own_seq = 0;
-    spf_pending = false;
-    spf_runs = 0;
-    messages_sent = 0;
-    routes_installed = 0;
-    spf_hooks = [];
-    stopped = false;
-  }
 
 let router_id t = t.config.router_id
 
@@ -255,17 +233,41 @@ let neighbor_down t n =
     n.full <- false;
     n.rid <- None;
     Hashtbl.reset n.retx;
-    (match n.dead_timer with Some h -> Engine.cancel h | None -> ());
-    n.dead_timer <- None;
+    Engine.Timer.disarm n.dead_timer;
     originate_lsa t
   end
 
+let create ~engine ~rng ~config ~ifaces ~rib =
+  let t =
+    {
+      engine;
+      rng;
+      config;
+      nbrs =
+        List.map
+          (fun iface ->
+            { iface; rid = None; full = false;
+              dead_timer = Engine.Timer.create engine;
+              retx = Hashtbl.create 8 })
+          ifaces;
+      rib;
+      lsdb = Hashtbl.create 16;
+      own_seq = 0;
+      spf_pending = false;
+      spf_runs = 0;
+      messages_sent = 0;
+      routes_installed = 0;
+      spf_hooks = [];
+      stopped = false;
+    }
+  in
+  List.iter
+    (fun n -> Engine.Timer.on_fire n.dead_timer (fun () -> neighbor_down t n))
+    t.nbrs;
+  t
+
 let reset_dead_timer t n =
-  (match n.dead_timer with Some h -> Engine.cancel h | None -> ());
-  n.dead_timer <-
-    Some (Engine.after t.engine t.config.dead_interval (fun () ->
-              n.dead_timer <- None;
-              neighbor_down t n))
+  Engine.Timer.arm_after n.dead_timer t.config.dead_interval
 
 let hello_for t n =
   Hello { h_rid = t.config.router_id; h_seen = Option.to_list n.rid }
@@ -416,8 +418,7 @@ let stop t =
     t.stopped <- true;
     List.iter
       (fun n ->
-        (match n.dead_timer with Some h -> Engine.cancel h | None -> ());
-        n.dead_timer <- None;
+        Engine.Timer.disarm n.dead_timer;
         Hashtbl.reset n.retx)
       t.nbrs
   end

@@ -14,7 +14,8 @@
     {!pending} is O(1) via a live-event counter maintained on
     schedule/cancel/fire.  Cancelled events are deleted lazily and swept
     out in bulk once they outnumber live ones, so cancel-heavy workloads
-    stay cheap too.
+    stay cheap too; deadlines that are pushed back on every packet use
+    a {!Timer}, which re-arms without touching the queue.
 
     {b Determinism.}  Events fire in (timestamp, scheduling order):
     same-timestamp events drain strictly FIFO, so a seeded run is
@@ -76,6 +77,48 @@ val cancel : handle -> unit
 
 val is_cancelled : handle -> bool
 
+(** Re-armable deadlines.
+
+    A timer is the cancel-and-reschedule idiom ([cancel h; h <- after d
+    f]) without the churn: re-arming an armed timer to a later deadline
+    pushes nothing and allocates nothing.  Every {!arm} reserves the
+    (time, scheduling order) position {!at} would have given a fresh
+    event, and the timer fires exactly there, so firing order, clocks,
+    RNG draws and {!events_fired} are those of the idiom it replaces.
+
+    The timer keeps at most one live queue entry.  When it is re-armed
+    later, its entry stays where it is; on reaching the head of the
+    queue the entry moves to the armed position (or is dropped if the
+    timer was disarmed) without counting as an event.  Arming earlier
+    than the queued entry pushes a new one and leaves the old entry
+    dead.  Use {!cancel} for one-shot events; use a timer for a deadline
+    that is pushed back again and again (retransmission, delayed-ACK,
+    hold and dead timers). *)
+module Timer : sig
+  type engine := t
+  type t
+
+  val create : engine -> t
+  (** A disarmed timer that fires nothing until {!on_fire} sets its
+      callback. *)
+
+  val on_fire : t -> (unit -> unit) -> unit
+  (** The callback, run once per expiry; it may re-arm the timer. *)
+
+  val arm : t -> Time.t -> unit
+  (** (Re-)arm at an absolute time (clamped to now), replacing any armed
+      deadline.  Allocation-free unless it must push ahead of the
+      timer's queued entry. *)
+
+  val arm_after : t -> Time.t -> unit
+  (** [arm] at [now + delta]; negative deltas clamp to now. *)
+
+  val disarm : t -> unit
+  (** Idempotent; the armed deadline will not fire.  O(1). *)
+
+  val is_armed : t -> bool
+end
+
 val every : t -> ?start:Time.t -> ?jitter:Time.t -> Time.t ->
   (unit -> bool) -> unit
 (** [every t ~start ~jitter period f] runs [f] at [start] (default: one
@@ -91,18 +134,22 @@ val step : t -> bool
 (** Fire exactly one event; [false] when the queue was empty. *)
 
 val pending : t -> int
-(** Number of scheduled (uncancelled, unfired) events.  O(1): maintained
-    as a counter, not recomputed from the queue. *)
+(** Number of scheduled (uncancelled, unfired) events, counting each
+    armed {!Timer} once.  O(1): maintained as a counter, not recomputed
+    from the queue. *)
 
 val events_fired : t -> int
 (** Total callbacks executed so far (engine throughput metric). *)
 
 val events_cancelled : t -> int
 (** Cancelled events removed from the queue so far, whether popped
-    individually or swept in bulk by the lazy-delete compaction. *)
+    individually or swept in bulk by the lazy-delete compaction.  A
+    timer entry dropped because its timer was disarmed or armed earlier
+    counts here; one moved to a later deadline does not. *)
 
 val max_pending : t -> int
-(** High-water mark of the event queue, cancelled entries included. *)
+(** High-water mark of the event queue, cancelled and timer entries
+    included. *)
 
 (** {2 Profiling}
 

@@ -9,15 +9,15 @@ let of_sec_f s = int_of_float (Float.round (s *. 1e9))
 let to_sec_f t = float_of_int t /. 1e9
 let to_ms_f t = float_of_int t /. 1e6
 let of_ms_f m = int_of_float (Float.round (m *. 1e6))
-let add = ( + )
-let sub = ( - )
-let mul t n = t * n
+external add : t -> t -> t = "%addint"
+external sub : t -> t -> t = "%subint"
+external mul : t -> int -> t = "%mulint"
 let max_value = max_int
-let compare : t -> t -> int = Int.compare
-let ( <= ) : t -> t -> bool = Stdlib.( <= )
-let ( < ) : t -> t -> bool = Stdlib.( < )
-let ( >= ) : t -> t -> bool = Stdlib.( >= )
-let ( > ) : t -> t -> bool = Stdlib.( > )
-let min : t -> t -> t = Stdlib.min
-let max : t -> t -> t = Stdlib.max
+external compare : t -> t -> int = "%compare"
+external ( <= ) : t -> t -> bool = "%lessequal"
+external ( < ) : t -> t -> bool = "%lessthan"
+external ( >= ) : t -> t -> bool = "%greaterequal"
+external ( > ) : t -> t -> bool = "%greaterthan"
+let min (a : t) b = if a <= b then a else b
+let max (a : t) b = if a >= b then a else b
 let pp ppf t = Format.fprintf ppf "%.6fs" (to_sec_f t)

@@ -27,21 +27,29 @@ val to_sec_f : t -> float
 val to_ms_f : t -> float
 val of_ms_f : float -> t
 
-val add : t -> t -> t
-val sub : t -> t -> t
-val mul : t -> int -> t
+(** The arithmetic and comparisons are primitives at type [int], so
+    every use compiles to inline integer code in any build profile — no
+    call, no polymorphic compare — even where modules are compiled
+    without cross-module inlining (dune's [dev] profile passes
+    [-opaque]). *)
+
+external add : t -> t -> t = "%addint"
+external sub : t -> t -> t = "%subint"
+external mul : t -> int -> t = "%mulint"
 
 val max_value : t
 (** The largest representable instant ([max_int] ns, ~146 years).  Used as
     an "unreachable" sentinel by window computations. *)
 
-val compare : t -> t -> int
-val ( <= ) : t -> t -> bool
-val ( < ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
-val ( > ) : t -> t -> bool
+external compare : t -> t -> int = "%compare"
+external ( <= ) : t -> t -> bool = "%lessequal"
+external ( < ) : t -> t -> bool = "%lessthan"
+external ( >= ) : t -> t -> bool = "%greaterequal"
+external ( > ) : t -> t -> bool = "%greaterthan"
+
 val min : t -> t -> t
 val max : t -> t -> t
+(** Integer min/max (not the polymorphic [Stdlib] ones). *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints seconds with microsecond precision, e.g. ["12.345678s"]. *)

@@ -106,13 +106,18 @@ let sift_down t i k s v =
   Array.unsafe_set seqs !i s;
   Array.unsafe_set vals !i v
 
-let push t ~key value =
-  if t.size = Array.length t.keys then grow t;
-  let i = t.size in
+let reserve_seq t =
   let s = t.next_seq in
   t.next_seq <- s + 1;
+  s
+
+let push_seq t ~key ~seq value =
+  if t.size = Array.length t.keys then grow t;
+  let i = t.size in
   t.size <- i + 1;
-  sift_up t i (clamp_key key) s value
+  sift_up t i (clamp_key key) seq value
+
+let push t ~key value = push_seq t ~key ~seq:(reserve_seq t) value
 
 (* [max_int] when empty: no clamped key can reach it, so the engine's run
    loops use it as an unambiguous "nothing pending" sentinel. *)

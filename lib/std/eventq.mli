@@ -27,6 +27,16 @@ val push : 'a t -> key:int -> 'a -> unit
     clamp to 0, keys above [max_int/2] clamp to [max_int/2]; clamping
     preserves (key, seq) order. *)
 
+val reserve_seq : 'a t -> int
+(** Take the sequence number the next {!push} would have used, so an
+    entry can be inserted later at the order position it holds now. *)
+
+val push_seq : 'a t -> key:int -> seq:int -> 'a -> unit
+(** {!push} with a number from {!reserve_seq}; push each number at most
+    once.  The entry then pops exactly where it would have had it been
+    pushed when its number was reserved: order is by (key, seq), not by
+    push time.  O(log n), allocation-free (outside array growth). *)
+
 val min_key : 'a t -> int
 (** Key of the earliest entry; [max_int] when empty (no clamped key can
     reach it).  O(1), allocation-free. *)

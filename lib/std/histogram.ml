@@ -38,7 +38,7 @@ let idx_of x =
   let i =
     int_of_float (Float.floor (Float.log10 x *. float_of_int buckets_per_decade))
   in
-  Stdlib.max min_idx (Stdlib.min max_idx i)
+  Int.max min_idx (Int.min max_idx i)
 
 let lower_bound idx = 10.0 ** (float_of_int idx /. float_of_int buckets_per_decade)
 let upper_bound idx = 10.0 ** (float_of_int (idx + 1) /. float_of_int buckets_per_decade)
@@ -72,7 +72,7 @@ let percentile t p =
       let r =
         int_of_float (Float.ceil (p /. 100.0 *. float_of_int t.count))
       in
-      Stdlib.max 1 (Stdlib.min t.count r)
+      Int.max 1 (Int.min t.count r)
     in
     if rank <= t.nonpositive then Stdlib.min 0.0 t.min_v
     else begin

@@ -63,7 +63,7 @@ type t = {
   mutable rtt_seq : int option;
   mutable rtt_sent_at : Time.t;
   mutable retransmitted_since_sample : bool;
-  mutable rto_timer : Engine.handle option;
+  rto_timer : Engine.Timer.t;
   mutable last_send : Time.t;
   initial_rto : Time.t;
   (* receiver *)
@@ -72,7 +72,7 @@ type t = {
   mutable fin_rcvd_at : int option;
   mutable fin_consumed : bool;
   mutable acks_owed : int;
-  mutable ack_timer : Engine.handle option;
+  ack_timer : Engine.Timer.t;
   (* stats & hooks *)
   mutable bytes_delivered : int;
   mutable retransmits : int;
@@ -84,58 +84,11 @@ type t = {
   mutable closed_hook : unit -> unit;
 }
 
-let make ~stack ~local_port ~remote ~remote_port ~rwnd ~mss ~initial_rto state =
-  {
-    stack;
-    engine = Ipstack.engine stack;
-    local_port;
-    remote;
-    remote_port;
-    mss;
-    rwnd_limit = rwnd;
-    state;
-    snd_una = 0;
-    snd_nxt = 0;
-    snd_max = 0;
-    app_remaining = Some 0;
-    fin_queued = false;
-    fin_sent = false;
-    cwnd = 2 * mss;
-    ssthresh = 64 * 1024;
-    peer_rwnd = rwnd;
-    dup_acks = 0;
-    in_recovery = false;
-    recover = 0;
-    srtt = 0.0;
-    rttvar = 0.0;
-    rto = initial_rto;
-    rtt_seq = None;
-    rtt_sent_at = Time.zero;
-    retransmitted_since_sample = false;
-    rto_timer = None;
-    last_send = Time.zero;
-    initial_rto;
-    rcv_nxt = 0;
-    ooo = [];
-    fin_rcvd_at = None;
-    fin_consumed = false;
-    acks_owed = 0;
-    ack_timer = None;
-    bytes_delivered = 0;
-    retransmits = 0;
-    timeouts = 0;
-    cwnd_hist = Vini_std.Histogram.create ();
-    deliver_hook = (fun _ -> ());
-    segment_hook = (fun _ -> ());
-    established_hook = (fun () -> ());
-    closed_hook = (fun () -> ());
-  }
-
 let flight t = t.snd_nxt - t.snd_una
 
 let adv_window t =
   let ooo_bytes = List.fold_left (fun acc (_, l) -> acc + l) 0 t.ooo in
-  max 0 (t.rwnd_limit - ooo_bytes)
+  Int.max 0 (t.rwnd_limit - ooo_bytes)
 
 let emit t ?(syn = false) ?(ack = true) ?(fin = false) ~seq ~payload_len () =
   let seg =
@@ -152,8 +105,7 @@ let emit t ?(syn = false) ?(ack = true) ?(fin = false) ~seq ~payload_len () =
   in
   if ack then begin
     t.acks_owed <- 0;
-    (match t.ack_timer with Some h -> Engine.cancel h | None -> ());
-    t.ack_timer <- None
+    Engine.Timer.disarm t.ack_timer
   end;
   Ipstack.send t.stack
     (Packet.tcp ~src:(Ipstack.local_addr t.stack) ~dst:t.remote seg)
@@ -165,16 +117,10 @@ let trace_retransmit t what =
     Trace.emit ~severity:Trace.Warn ~component:(component t)
       (Trace.Custom what)
 
-let cancel_rto t =
-  (match t.rto_timer with Some h -> Engine.cancel h | None -> ());
-  t.rto_timer <- None
+let cancel_rto t = Engine.Timer.disarm t.rto_timer
+let arm_rto t = Engine.Timer.arm_after t.rto_timer t.rto
 
-let rec arm_rto t =
-  cancel_rto t;
-  t.rto_timer <- Some (Engine.after t.engine t.rto (fun () -> on_rto t))
-
-and on_rto t =
-  t.rto_timer <- None;
+let rec on_rto t =
   match t.state with
   | Closed -> ()
   | Syn_sent ->
@@ -191,7 +137,7 @@ and on_rto t =
       if flight t = 0 && not t.fin_sent then () (* nothing outstanding *)
       else begin
         t.timeouts <- t.timeouts + 1;
-        t.ssthresh <- max (flight t / 2) (2 * t.mss);
+        t.ssthresh <- Int.max (flight t / 2) (2 * t.mss);
         t.cwnd <- t.mss;
         t.in_recovery <- false;
         t.dup_acks <- 0;
@@ -209,17 +155,17 @@ and retransmit_one t =
   if t.fin_sent && t.snd_una >= t.snd_max then
     emit t ~fin:true ~seq:t.snd_max ~payload_len:0 ()
   else begin
-    let len = min t.mss (max 0 (t.snd_max - t.snd_una)) in
+    let len = Int.min t.mss (Int.max 0 (t.snd_max - t.snd_una)) in
     if len > 0 then begin
       emit t ~seq:t.snd_una ~payload_len:len ();
-      t.snd_nxt <- max t.snd_nxt (t.snd_una + len)
+      t.snd_nxt <- Int.max t.snd_nxt (t.snd_una + len)
     end
   end
 
 (* Bytes available to send starting at snd_nxt (committed + fresh app data). *)
 and available t =
-  let committed = max 0 (t.snd_max - t.snd_nxt) in
-  let fresh = match t.app_remaining with None -> t.mss | Some r -> max 0 r in
+  let committed = Int.max 0 (t.snd_max - t.snd_nxt) in
+  let fresh = match t.app_remaining with None -> t.mss | Some r -> Int.max 0 r in
   committed + fresh
 
 and pump t =
@@ -231,40 +177,41 @@ and pump t =
         flight t = 0
         && Time.compare t.last_send Time.zero > 0
         && Time.compare (Time.sub now t.last_send) t.rto > 0
-      then t.cwnd <- min t.cwnd (2 * t.mss);
+      then t.cwnd <- Int.min t.cwnd (2 * t.mss);
       let progress = ref true in
       while !progress do
         (* A floor of one MSS avoids modelling the persist timer. *)
-        let window = min t.cwnd (max t.peer_rwnd t.mss) in
+        let window = Int.min t.cwnd (Int.max t.peer_rwnd t.mss) in
         let usable = window - flight t in
-        let len = min t.mss (min usable (available t)) in
+        let len = Int.min t.mss (Int.min usable (available t)) in
         if len > 0 then begin
           emit t ~seq:t.snd_nxt ~payload_len:len ();
-          if t.rtt_seq = None && not t.retransmitted_since_sample then begin
-            t.rtt_seq <- Some (t.snd_nxt + len);
-            t.rtt_sent_at <- now
-          end;
-          let fresh = max 0 (t.snd_nxt + len - t.snd_max) in
+          (match t.rtt_seq with
+          | None when not t.retransmitted_since_sample ->
+              t.rtt_seq <- Some (t.snd_nxt + len);
+              t.rtt_sent_at <- now
+          | Some _ | None -> ());
+          let fresh = Int.max 0 (t.snd_nxt + len - t.snd_max) in
           (match t.app_remaining with
           | Some r -> t.app_remaining <- Some (r - fresh)
           | None -> ());
           t.snd_nxt <- t.snd_nxt + len;
-          t.snd_max <- max t.snd_max t.snd_nxt;
+          t.snd_max <- Int.max t.snd_max t.snd_nxt;
           t.last_send <- Engine.now t.engine;
-          if t.rto_timer = None then arm_rto t
+          if not (Engine.Timer.is_armed t.rto_timer) then arm_rto t
         end
         else progress := false
       done;
-      if
-        t.fin_queued && not t.fin_sent
-        && t.app_remaining = Some 0
-        && t.snd_nxt = t.snd_max
+      let drained =
+        match t.app_remaining with Some 0 -> true | Some _ | None -> false
+      in
+      if t.fin_queued && (not t.fin_sent) && drained && t.snd_nxt = t.snd_max
       then begin
         t.fin_sent <- true;
         t.state <- Fin_sent;
         emit t ~fin:true ~seq:t.snd_max ~payload_len:0 ();
         t.last_send <- Engine.now t.engine;
-        if t.rto_timer = None then arm_rto t
+        if not (Engine.Timer.is_armed t.rto_timer) then arm_rto t
       end
   | Syn_sent | Syn_rcvd | Closed -> ()
 
@@ -289,8 +236,8 @@ let sample_rtt t ack =
   | Some _ | None -> ()
 
 let grow_cwnd t acked =
-  if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + min acked t.mss
-  else t.cwnd <- t.cwnd + max 1 (t.mss * t.mss / t.cwnd);
+  if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + Int.min acked t.mss
+  else t.cwnd <- t.cwnd + Int.max 1 (t.mss * t.mss / t.cwnd);
   Vini_std.Histogram.add t.cwnd_hist (float_of_int t.cwnd)
 
 let send_ack_now t = emit t ~seq:t.snd_nxt ~payload_len:0 ()
@@ -298,12 +245,15 @@ let send_ack_now t = emit t ~seq:t.snd_nxt ~payload_len:0 ()
 let schedule_ack t ~immediate =
   t.acks_owed <- t.acks_owed + 1;
   if immediate || t.acks_owed >= 2 then send_ack_now t
-  else if t.ack_timer = None then
-    t.ack_timer <-
-      Some
-        (Engine.after t.engine delayed_ack (fun () ->
-             t.ack_timer <- None;
-             if t.acks_owed > 0 then send_ack_now t))
+  else if not (Engine.Timer.is_armed t.ack_timer) then
+    Engine.Timer.arm_after t.ack_timer delayed_ack
+
+(* Insert a (start, len) range into a list sorted by (start, len), as
+   [List.sort compare] would place it. *)
+let rec insert_range ((s, l) as r) = function
+  | ((s', l') as x) :: rest when s' < s || (s' = s && l' < l) ->
+      x :: insert_range r rest
+  | rest -> r :: rest
 
 (* Merge an in-flight data range into receive state; returns in-order bytes
    newly available to the application. *)
@@ -313,11 +263,11 @@ let receive_data t seq len =
     let seg_end = seq + len in
     if seg_end <= t.rcv_nxt then 0
     else if seq > t.rcv_nxt then begin
-      let start = max seq t.rcv_nxt in
-      let merged = List.sort compare ((start, seg_end - start) :: t.ooo) in
+      let start = Int.max seq t.rcv_nxt in
+      let merged = insert_range (start, seg_end - start) t.ooo in
       let rec coalesce = function
         | (s1, l1) :: (s2, l2) :: rest when s2 <= s1 + l1 ->
-            coalesce ((s1, max l1 (s2 + l2 - s1)) :: rest)
+            coalesce ((s1, Int.max l1 (s2 + l2 - s1)) :: rest)
         | x :: rest -> x :: coalesce rest
         | [] -> []
       in
@@ -357,8 +307,7 @@ let enter_closed t =
   if t.state <> Closed then begin
     t.state <- Closed;
     cancel_rto t;
-    (match t.ack_timer with Some h -> Engine.cancel h | None -> ());
-    t.ack_timer <- None;
+    Engine.Timer.disarm t.ack_timer;
     t.closed_hook ()
   end
 
@@ -401,7 +350,7 @@ let process_ack t (seg : Packet.tcp) =
     if t.dup_acks = 3 && not t.in_recovery then begin
       t.in_recovery <- true;
       t.recover <- t.snd_max;
-      t.ssthresh <- max (flight t / 2) (2 * t.mss);
+      t.ssthresh <- Int.max (flight t / 2) (2 * t.mss);
       t.cwnd <- t.ssthresh + (3 * t.mss);
       t.retransmits <- t.retransmits + 1;
       t.retransmitted_since_sample <- true;
@@ -437,7 +386,8 @@ let process_data t (seg : Packet.tcp) =
   end
   else if seg.Packet.payload_len > 0 then
     (* Duplicate or out-of-order data wants an immediate (dup) ack. *)
-    schedule_ack t ~immediate:(fresh = 0 || t.ooo <> [])
+    schedule_ack t
+      ~immediate:(fresh = 0 || match t.ooo with [] -> false | _ :: _ -> true)
 
 let handle_segment t (pkt : Packet.t) (seg : Packet.tcp) =
   t.segment_hook pkt;
@@ -478,6 +428,60 @@ let handle_segment t (pkt : Packet.t) (seg : Packet.tcp) =
         end
       end
 
+let make ~stack ~local_port ~remote ~remote_port ~rwnd ~mss ~initial_rto state =
+  let engine = Ipstack.engine stack in
+  let t =
+    {
+      stack;
+      engine;
+      local_port;
+      remote;
+      remote_port;
+      mss;
+      rwnd_limit = rwnd;
+      state;
+      snd_una = 0;
+      snd_nxt = 0;
+      snd_max = 0;
+      app_remaining = Some 0;
+      fin_queued = false;
+      fin_sent = false;
+      cwnd = 2 * mss;
+      ssthresh = 64 * 1024;
+      peer_rwnd = rwnd;
+      dup_acks = 0;
+      in_recovery = false;
+      recover = 0;
+      srtt = 0.0;
+      rttvar = 0.0;
+      rto = initial_rto;
+      rtt_seq = None;
+      rtt_sent_at = Time.zero;
+      retransmitted_since_sample = false;
+      rto_timer = Engine.Timer.create engine;
+      last_send = Time.zero;
+      initial_rto;
+      rcv_nxt = 0;
+      ooo = [];
+      fin_rcvd_at = None;
+      fin_consumed = false;
+      acks_owed = 0;
+      ack_timer = Engine.Timer.create engine;
+      bytes_delivered = 0;
+      retransmits = 0;
+      timeouts = 0;
+      cwnd_hist = Vini_std.Histogram.create ();
+      deliver_hook = (fun _ -> ());
+      segment_hook = (fun _ -> ());
+      established_hook = (fun () -> ());
+      closed_hook = (fun () -> ());
+    }
+  in
+  Engine.Timer.on_fire t.rto_timer (fun () -> on_rto t);
+  Engine.Timer.on_fire t.ack_timer (fun () ->
+      if t.acks_owed > 0 then send_ack_now t);
+  t
+
 let attach t =
   Ipstack.bind_tcp t.stack ~port:t.local_port (fun pkt ->
       match pkt.Packet.proto with
@@ -496,14 +500,19 @@ let connect ~stack ~dst ~dst_port ?(rwnd = default_rwnd) ?(mss = default_mss)
   arm_rto t;
   t
 
+(* Accepted connections by remote endpoint: 32-bit address, 16-bit port. *)
+module Conns = Hashtbl.Make (Int)
+
+let conn_key addr port = (Vini_net.Addr.to_int addr lsl 16) lor port
+
 let listen ~stack ~port ?(rwnd = default_rwnd) ?(mss = default_mss) ~on_accept
     () =
-  let conns : (Vini_net.Addr.t * int, t) Hashtbl.t = Hashtbl.create 16 in
+  let conns = Conns.create 16 in
   Ipstack.bind_tcp stack ~port (fun pkt ->
       match pkt.Packet.proto with
       | Packet.Tcp seg -> (
-          let key = (pkt.Packet.src, seg.Packet.sport) in
-          match Hashtbl.find_opt conns key with
+          let key = conn_key pkt.Packet.src seg.Packet.sport in
+          match Conns.find_opt conns key with
           | Some t -> handle_segment t pkt seg
           | None ->
               if seg.Packet.flags.Packet.syn && not seg.Packet.flags.Packet.ack
@@ -513,7 +522,7 @@ let listen ~stack ~port ?(rwnd = default_rwnd) ?(mss = default_mss) ~on_accept
                     ~remote_port:seg.Packet.sport ~rwnd ~mss
                     ~initial_rto:(Time.sec 1) Syn_rcvd
                 in
-                Hashtbl.replace conns key t;
+                Conns.replace conns key t;
                 on_accept t;
                 emit t ~syn:true ~seq:0 ~payload_len:0 ();
                 arm_rto t
@@ -542,7 +551,7 @@ let on_closed t f = t.closed_hook <- f
 
 let stats t =
   {
-    bytes_acked = min t.snd_una t.snd_max;
+    bytes_acked = Int.min t.snd_una t.snd_max;
     bytes_delivered = t.bytes_delivered;
     retransmits = t.retransmits;
     timeouts = t.timeouts;

@@ -169,6 +169,70 @@ let test_trace_overhead () =
   in
   check Alcotest.int "disabled categories record nothing" 0 (Trace.length quiet)
 
+(* Schedule pin.  A short seeded Table 2 row, set up exactly as
+   [Deter.tcp_run] sets it up, must reproduce the event count, plink
+   packet count and throughput recorded when this test was written.  An
+   engine or transport change that reorders events — even one that keeps
+   every shape test above green — fails here instead of silently shifting
+   the published numbers.  Update the pins only for a deliberate model
+   change, and say so. *)
+let pinned_tcp_row ~iias ~seed =
+  let module Engine = Vini_sim.Engine in
+  let module Time = Vini_sim.Time in
+  let module Datasets = Vini_topo.Datasets in
+  let module Underlay = Vini_phys.Underlay in
+  let module Iias = Vini_overlay.Iias in
+  let engine = Engine.create ~seed () in
+  let underlay =
+    Underlay.create ~engine
+      ~rng:(Vini_std.Rng.split (Engine.rng engine))
+      ~graph:(Datasets.Deter.topology ()) ()
+  in
+  let client, server =
+    if iias then begin
+      let overlay =
+        Iias.create ~underlay ~slice:(Vini_phys.Slice.pl_vini "iias")
+          ~vtopo:(Datasets.Deter.topology ()) ~embedding:Fun.id ()
+      in
+      Iias.start overlay;
+      let v = Iias.vnode overlay in
+      (Iias.tap (v Datasets.Deter.src), Iias.tap (v Datasets.Deter.sink))
+    end
+    else
+      let n = Underlay.node underlay in
+      ( Vini_phys.Pnode.stack (n Datasets.Deter.src),
+        Vini_phys.Pnode.stack (n Datasets.Deter.sink) )
+  in
+  let start = Time.sec 25 and warmup = Time.sec 2 in
+  let duration = Time.sec 1 in
+  let run =
+    Vini_measure.Iperf.tcp ~client ~server ~warmup ~start ~duration ()
+  in
+  Engine.run ~until:(Time.add (Time.add start warmup) duration) engine;
+  let graph = Underlay.graph underlay in
+  let plink_sent =
+    List.fold_left
+      (fun acc (l : Vini_topo.Graph.link) ->
+        let p = Underlay.plink underlay l.Vini_topo.Graph.a l.Vini_topo.Graph.b in
+        acc
+        + (Vini_phys.Plink.stats p ~dir:0).Vini_phys.Plink.sent
+        + (Vini_phys.Plink.stats p ~dir:1).Vini_phys.Plink.sent)
+      0 (Vini_topo.Graph.links graph)
+  in
+  (Engine.events_fired engine, plink_sent, Vini_measure.Iperf.tcp_mbps run)
+
+let test_schedule_pin () =
+  let pin name ~iias ~seed ~events ~pkts ~mbps =
+    let e, p, m = pinned_tcp_row ~iias ~seed in
+    check Alcotest.int (name ^ " events fired") events e;
+    check Alcotest.int (name ^ " plink packets") pkts p;
+    check Alcotest.string (name ^ " Mb/s") mbps (Printf.sprintf "%.6f" m)
+  in
+  pin "network" ~iias:false ~seed:1001 ~events:3167178 ~pkts:1055825
+    ~mbps:"913.700256";
+  pin "iias" ~iias:true ~seed:2001 ~events:969935 ~pkts:208767
+    ~mbps:"193.959816"
+
 let suite =
   [
     Alcotest.test_case "deter ping shape (Table 3)" `Slow test_deter_ping_shape;
@@ -181,4 +245,5 @@ let suite =
     Alcotest.test_case "upcalls (§6.1)" `Quick test_upcalls;
     Alcotest.test_case "figure 7 paths" `Quick test_expected_paths;
     Alcotest.test_case "trace overhead < 10% (§ISSUE)" `Slow test_trace_overhead;
+    Alcotest.test_case "deter tcp schedule pin" `Quick test_schedule_pin;
   ]

@@ -198,6 +198,138 @@ let prop_inline_matches_queued =
       let log_i, mid_i, fired_i, _ = run ~profiling:false in
       inlined_q = 0 && log_q = log_i && mid_q = mid_i && fired_q = fired_i)
 
+(* Engine.Timer against the cancel-and-reschedule idiom it replaces.
+   Random scripts over a few timers arm them later than, earlier than or
+   at their last deadline, disarm them, re-arm them from their own
+   callbacks, and mix in bursts of plain [after]/[cancel] events (enough
+   to trigger the dead-entry sweep) and [after_inline] chains.  The timer run and the [at]+[cancel] reference must fire the
+   same (time, id) trace, across a [run ~until] boundary, with the same
+   [events_fired], [pending] and horizon histogram — with profiling off
+   (inlining live) and on. *)
+let prop_timer_matches_cancel_at =
+  let open QCheck in
+  Test.make ~name:"timer = at+cancel reference" ~count:120
+    (triple (int_range 0 100_000) (int_range 1 4) bool)
+    (fun (seed, ntimers, profiling) ->
+      let run ~reference =
+        let e = Engine.create ~seed () in
+        Engine.set_profiling e profiling;
+        let rng = Vini_std.Rng.create seed in
+        let draw n = Vini_std.Rng.int rng n in
+        let log = ref [] and budget = ref 400 and next = ref 0 in
+        let plain = ref [] in
+        let on_fire = ref (fun (_ : int) -> ()) in
+        let arm, disarm =
+          if reference then begin
+            let hs = Array.make ntimers None in
+            let cancel i =
+              Option.iter Engine.cancel hs.(i);
+              hs.(i) <- None
+            in
+            ( (fun i time ->
+                cancel i;
+                hs.(i) <-
+                  Some
+                    (Engine.at e time (fun () ->
+                         hs.(i) <- None;
+                         !on_fire i))),
+              cancel )
+          end
+          else begin
+            let ts =
+              Array.init ntimers (fun i ->
+                  let tm = Engine.Timer.create e in
+                  Engine.Timer.on_fire tm (fun () -> !on_fire i);
+                  tm)
+            in
+            (fun i time -> Engine.Timer.arm ts.(i) time),
+            fun i -> Engine.Timer.disarm ts.(i)
+          end
+        in
+        let last = Array.make ntimers Time.zero in
+        let delay () = Time.us (draw 50) in
+        let arm_some i =
+          let time =
+            match draw 4 with
+            | 0 -> last.(i)
+            | 1 -> Time.add last.(i) (delay ())
+            | 2 -> Time.sub last.(i) (delay ())
+            | _ -> Time.add (Engine.now e) (delay ())
+          in
+          last.(i) <- Time.max time (Engine.now e);
+          arm i time
+        in
+        let rec act id () =
+          log := (Engine.now e, id) :: !log;
+          decr budget;
+          if !budget > 0 then begin
+            for _ = 0 to draw 3 do
+              match draw 5 with
+              | 0 | 1 -> arm_some (draw ntimers)
+              | 2 -> disarm (draw ntimers)
+              | 3 ->
+                  (* Bursts of plain events, cancelled wholesale below,
+                     push the queue past the compaction threshold. *)
+                  for _ = 0 to draw 30 do
+                    incr next;
+                    plain := Engine.after e (delay ()) (act !next) :: !plain
+                  done
+              | _ ->
+                  List.iter Engine.cancel !plain;
+                  plain := []
+            done;
+            if draw 3 = 0 then begin
+              incr next;
+              Engine.after_inline e (delay ()) (act !next)
+            end
+          end
+        in
+        on_fire :=
+          (fun i ->
+            if !budget > 0 && draw 2 = 0 then arm_some i;
+            act (-1 - i) ());
+        for i = 0 to ntimers - 1 do
+          arm_some i
+        done;
+        for k = 1 to 3 do
+          ignore (Engine.at e (Time.us (draw 100)) (act k))
+        done;
+        next := 3;
+        Engine.run ~until:(Time.us 150) e;
+        let mid = (Engine.now e, Engine.pending e, Engine.events_fired e) in
+        Engine.run e;
+        let h = Engine.horizon_hist e in
+        ( List.rev !log,
+          mid,
+          (Engine.events_fired e, Engine.pending e),
+          (Vini_std.Histogram.count h, Vini_std.Histogram.sum h,
+           Vini_std.Histogram.buckets h) )
+      in
+      run ~reference:true = run ~reference:false)
+
+(* Re-arming an armed timer to a later deadline only records the new
+   deadline: no queue push, no allocation. *)
+let test_timer_rearm_allocates_nothing () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let tm = Engine.Timer.create e in
+  Engine.Timer.on_fire tm (fun () -> fired := Engine.now e :: !fired);
+  Engine.Timer.arm tm (Time.ms 1);
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Engine.Timer.arm tm (Time.add (Time.ms 1) (Time.ns i))
+  done;
+  let w1 = Gc.minor_words () in
+  check Alcotest.int "zero minor words across re-arms" 0
+    (int_of_float (w1 -. w0));
+  check Alcotest.int "one pending" 1 (Engine.pending e);
+  Engine.run e;
+  check Alcotest.(list time) "fires once, at the last deadline"
+    [ Time.add (Time.ms 1) (Time.ns 10_000) ] !fired;
+  check Alcotest.int "one event fired" 1 (Engine.events_fired e);
+  check Alcotest.int "no cancellations" 0 (Engine.events_cancelled e);
+  check Alcotest.int "nothing pending" 0 (Engine.pending e)
+
 let test_trace_order_and_find () =
   let e = Engine.create () in
   let tr = Trace.create () in
@@ -433,6 +565,9 @@ let suite =
     Alcotest.test_case "cancel from another callback" `Quick
       test_engine_cancel_from_callback;
     QCheck_alcotest.to_alcotest prop_inline_matches_queued;
+    QCheck_alcotest.to_alcotest prop_timer_matches_cancel_at;
+    Alcotest.test_case "timer re-arm allocates nothing" `Quick
+      test_timer_rearm_allocates_nothing;
     Alcotest.test_case "trace records and finds" `Quick test_trace_order_and_find;
     Alcotest.test_case "trace ring wraparound" `Quick test_trace_ring_wraparound;
     Alcotest.test_case "trace category filtering" `Quick
