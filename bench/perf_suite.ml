@@ -203,9 +203,9 @@ let embed_arrival algo () =
 (* Informational rows, never gated: seeded generation of the reference
    200-PoP backbone, the lazy workload stream drained at depth, and both
    embedding solvers admitting 100 slice arrivals against that generated
-   substrate — the scale the heap-based Dijkstra in [constrained_path]
-   exists for (the old unvisited-min scan was quadratic in substrate
-   size and dominated exactly this workload). *)
+   substrate.  The online row prices each candidate host from one
+   heap-based Dijkstra per placed virtual neighbour (DESIGN.md §12); the
+   greedy row is the baseline it is read against. *)
 
 let scen_spec =
   { Vini_scenario.Generate.kind = Vini_scenario.Generate.backbone 200;

@@ -99,7 +99,8 @@ let timeline_interval_arg =
 
 (* Physical substrates addressable by name ([vini run], [vini embed]).
    "mesh" is a generous default: 16 well-connected Waxman sites.  A
-   [.json] path loads a generated vini.topo/1 substrate ([vini gen]). *)
+   [.json] path loads a generated vini.topo/1 substrate ([vini gen]).
+   An unknown name or a bad file prints one located line and exits 1. *)
 let physical_topology ~seed = function
   | "abilene" -> Abilene.topology ()
   | "deter" -> Vini_topo.Datasets.Deter.topology ()
@@ -109,8 +110,15 @@ let physical_topology ~seed = function
   | path when Filename.check_suffix path ".json" -> (
       match Vini_scenario.Generate.load_file path with
       | Ok g -> g
-      | Error e -> failwith (path ^ ": " ^ e))
-  | other -> failwith ("unknown substrate " ^ other)
+      | Error e ->
+          prerr_endline e;
+          exit 1)
+  | other ->
+      Printf.eprintf
+        "%s: unknown substrate (abilene, mesh, nlr, deter, planetlab3 or a \
+         vini.topo/1 .json file)\n"
+        other;
+      exit 1
 
 (* Dump the "trace" part of an export document as one line per event. *)
 let print_trace_events doc =
@@ -1251,7 +1259,8 @@ let embed_cmd =
   let phys_arg =
     Arg.(value & opt string "abilene"
          & info [ "phys" ] ~docv:"NAME"
-             ~doc:"Physical substrate: abilene, mesh, nlr, deter, planetlab3.")
+             ~doc:"Physical substrate: abilene, mesh, nlr, deter, planetlab3, \
+                   or a vini.topo/1 $(b,.json) file from $(b,vini gen).")
   in
   let nodes_arg =
     Arg.(value & opt int 6 & info [ "nodes" ] ~docv:"N"
@@ -1293,7 +1302,8 @@ let embed_cmd =
   let doc =
     "Place virtual topologies on a physical substrate with the \
      capacity-aware embedding engine: solved mappings, per-pnode stress, \
-     structured rejection reasons.  Exits 3 when nothing could be admitted."
+     structured rejection reasons.  Exits 3 when nothing could be admitted, \
+     1 on an unknown or malformed $(b,--phys) substrate."
   in
   Cmd.v (Cmd.info "embed" ~doc)
     Term.(const run $ phys_arg $ nodes_arg $ cpu_arg $ bw_arg $ solver_arg
@@ -1535,7 +1545,7 @@ let gen_cmd =
               Generate.schema_version;
             summarize g
         | Error e ->
-            Printf.eprintf "%s: %s\n" path e;
+            prerr_endline e;
             exit 1)
     | None ->
         let kind =

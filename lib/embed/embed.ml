@@ -79,61 +79,74 @@ let reserve_local_path st path bw =
     in
     go path
 
-(* Capacity-constrained shortest path on the substrate with float
-   weights: only live links with [need] bits/s residual and live
-   intermediate nodes are traversable.  Heap-based Dijkstra keyed on
+(* Capacity-constrained Dijkstra on the substrate with float weights:
+   only live links with [need] bits/s residual and live nodes are
+   traversable (the source itself is not checked).  Heap keyed on
    (dist, id): extraction order — and therefore every [prev] assignment
-   and tie-break — matches the old O(n^2) unvisited-minimum scan exactly,
-   so embeddings stay byte-identical while large substrates (the 200-PoP
-   generated backbones) drop from quadratic to O(m log n) per path. *)
+   and tie-break — matches an O(n^2) unvisited-minimum scan exactly, so
+   embeddings are byte-identical to it at O(m log n) per search.  Runs
+   to completion, or stops as soon as [dst] is settled; returns the
+   [dist] and [prev] arrays. *)
+let search st ~weight ~need ?(dst = -1) src =
+  let n = Graph.node_count st.sg in
+  let dist = Array.make n infinity in
+  let prev = Array.make n (-1) in
+  let visited = Array.make n false in
+  dist.(src) <- 0.0;
+  let heap =
+    Vini_std.Heap.create ~cmp:(fun (d1, n1) (d2, n2) ->
+        let c = Float.compare d1 d2 in
+        if c <> 0 then c else compare n1 n2)
+  in
+  Vini_std.Heap.push heap (0.0, src);
+  let finished = ref false in
+  while not !finished do
+    match Vini_std.Heap.pop heap with
+    | None -> finished := true
+    | Some (_, u) when u = dst -> finished := true
+    | Some (_, u) when visited.(u) -> () (* stale heap entry *)
+    | Some (_, u) ->
+        visited.(u) <- true;
+        List.iter
+          (fun (v, l) ->
+            if
+              (not visited.(v))
+              && Substrate.node_up st.sub v
+              && Substrate.link_up st.sub u v
+              && local_link_residual st u v +. eps >= need
+            then begin
+              let d = dist.(u) +. weight l in
+              if d < dist.(v) then begin
+                dist.(v) <- d;
+                prev.(v) <- u;
+                Vini_std.Heap.push heap (d, v)
+              end
+            end)
+          (Graph.neighbors st.sg u)
+  done;
+  (dist, prev)
+
 let constrained_path st ~weight ~need src dst =
-  if src = dst then Some ([ src ], 0.0)
+  if src = dst then Some [ src ]
   else begin
-    let n = Graph.node_count st.sg in
-    let dist = Array.make n infinity in
-    let prev = Array.make n (-1) in
-    let visited = Array.make n false in
-    dist.(src) <- 0.0;
-    let heap =
-      Vini_std.Heap.create ~cmp:(fun (d1, n1) (d2, n2) ->
-          let c = Float.compare d1 d2 in
-          if c <> 0 then c else compare n1 n2)
-    in
-    Vini_std.Heap.push heap (0.0, src);
-    let finished = ref false in
-    while not !finished do
-      match Vini_std.Heap.pop heap with
-      | None -> finished := true
-      | Some (_, u) when u = dst || visited.(u) ->
-          if u = dst then finished := true
-      | Some (d, u) when d > dist.(u) -> () (* stale heap entry *)
-      | Some (_, u) ->
-          visited.(u) <- true;
-          List.iter
-            (fun (v, l) ->
-              if
-                (not visited.(v))
-                && Substrate.node_up st.sub v
-                && Substrate.link_up st.sub u v
-                && local_link_residual st u v +. eps >= need
-              then begin
-                let d = dist.(u) +. weight l in
-                if d < dist.(v) then begin
-                  dist.(v) <- d;
-                  prev.(v) <- u;
-                  Vini_std.Heap.push heap (d, v)
-                end
-              end)
-            (Graph.neighbors st.sg u)
-    done;
+    let dist, prev = search st ~weight ~need ~dst src in
     if dist.(dst) = infinity then None
     else begin
       let rec build acc v =
         if v = src then src :: acc else build (v :: acc) prev.(v)
       in
-      Some (build [] dst, dist.(dst))
+      Some (build [] dst)
     end
   end
+
+(* Every node's constrained distance to [host].  Link weights, liveness
+   and residuals are keyed on the normalised link, so one search from the
+   host prices every candidate at once instead of one search per
+   candidate.  A down host is reachable from nowhere: a forward search
+   could never enter it. *)
+let distances_to st ~weight ~need host =
+  if Substrate.node_up st.sub host then fst (search st ~weight ~need host)
+  else Array.make (Graph.node_count st.sg) infinity
 
 let congestion_weight st ~bw (l : Graph.link) =
   let a = l.Graph.a and b = l.Graph.b in
@@ -205,94 +218,113 @@ let place_greedy st ~vtopo (req : Request.t) nodes used =
       st.nres.(!best) <- st.nres.(!best) -. dem)
     ordered
 
-(* Even et al.-style online placement: vnodes arrive in id order; each
-   candidate pnode is priced by the exponential congestion increment of
-   hosting the vnode plus congestion-priced constrained paths to every
-   already-placed virtual neighbor.  Exact-minimum ties are broken by
-   (seed + vnode) mod k over the id-sorted tie set — stable and
-   byte-identical across runs with equal seeds. *)
+(* Exponential congestion increment of hosting [dem] more cores on [p]. *)
+let node_cost st ~dem p =
+  let cap = Substrate.node_capacity st.sub p in
+  if cap <= 0.0 then infinity
+  else
+    let u0 = cap -. st.nres.(p) in
+    (alpha ** ((u0 +. dem) /. cap)) -. (alpha ** (u0 /. cap))
+
+(* Even et al.-style pricing of a host for [vnode]: the node increment
+   plus the congestion-priced constrained path to every placed virtual
+   neighbour's host.  [nbrs] lists those neighbours as
+   [(ends, host, bw)] — the vlink endpoints a rejection names, the host,
+   the vlink's demand — in the order failures are attributed.  One search
+   per neighbour prices all candidates; the hop-count reachability that
+   tells [Link_exhausted] from [Unreachable] is searched only if needed.
+   Exact-minimum ties are broken by (seed + vnode) mod k over the
+   id-sorted tie set — stable and byte-identical across equal seeds.
+   With no candidate, the first failure (candidate ascending, neighbour
+   in list order) is the rejection. *)
+let choose st (req : Request.t) ~vnode ~dem ~used nbrs =
+  let pn = Graph.node_count st.sg in
+  let priced =
+    List.map
+      (fun (ends, host, bw) ->
+        ( ends,
+          bw,
+          distances_to st ~weight:(congestion_weight st ~bw) ~need:bw host,
+          lazy (distances_to st ~weight:hop_weight ~need:0.0 host) ))
+      nbrs
+  in
+  let cands = ref [] and best_res = ref 0.0 and any_cap = ref false in
+  let cap_blocked = ref None and live_blocked = ref None in
+  for p = 0 to pn - 1 do
+    if Substrate.node_up st.sub p && not used.(p) then begin
+      if st.nres.(p) > !best_res then best_res := st.nres.(p);
+      if st.nres.(p) +. eps >= dem then begin
+        any_cap := true;
+        let rec price pcost = function
+          | [] -> cands := (node_cost st ~dem p +. pcost, p) :: !cands
+          | (ends, bw, dist, reach) :: rest ->
+              if dist.(p) < infinity then price (pcost +. dist.(p)) rest
+              else if (Lazy.force reach).(p) < infinity then begin
+                if !cap_blocked = None then cap_blocked := Some (ends, bw)
+              end
+              else if !live_blocked = None then live_blocked := Some ends
+        in
+        price 0.0 priced
+      end
+    end
+  done;
+  match List.rev !cands with
+  | [] -> (
+      if not !any_cap then
+        raise
+          (Reject
+             (Node_exhausted { vnode; demand = dem; best_residual = !best_res }));
+      match (!cap_blocked, !live_blocked) with
+      | Some ((va, vb), bw), _ ->
+          raise (Reject (Link_exhausted { va; vb; demand = bw }))
+      | None, Some (va, vb) -> raise (Reject (Unreachable { va; vb }))
+      | None, None -> assert false)
+  | cands ->
+      let minc =
+        List.fold_left (fun acc (c, _) -> Float.min acc c) infinity cands
+      in
+      let ties =
+        List.filter
+          (fun (c, _) -> c -. minc <= 1e-9 *. (1.0 +. Float.abs minc))
+          cands
+      in
+      let k = List.length ties in
+      let idx = (((req.Request.seed + vnode) mod k) + k) mod k in
+      snd (List.nth ties idx)
+
+(* Online placement: vnodes arrive in id order, each on the cheapest
+   host by [choose]. *)
 let place_online st ~vtopo (req : Request.t) nodes used =
-  let vn = Graph.node_count vtopo and pn = Graph.node_count st.sg in
-  for v = 0 to vn - 1 do
+  for v = 0 to Graph.node_count vtopo - 1 do
     if nodes.(v) = -1 then begin
       let dem = req.Request.cpu_demand v in
-      let placed_nbrs =
-        List.filter (fun (u, _) -> nodes.(u) >= 0) (Graph.neighbors vtopo v)
+      let nbrs =
+        List.filter_map
+          (fun (u, vl) ->
+            if nodes.(u) >= 0 then
+              Some ((v, u), nodes.(u), req.Request.bw_demand vl)
+            else None)
+          (Graph.neighbors vtopo v)
       in
-      let cands = ref [] in
-      let best_res = ref 0.0 in
-      let any_cap = ref false in
-      let cap_blocked = ref None and live_blocked = ref None in
-      for p = 0 to pn - 1 do
-        if Substrate.node_up st.sub p && not used.(p) then begin
-          if st.nres.(p) > !best_res then best_res := st.nres.(p);
-          if st.nres.(p) +. eps >= dem then begin
-            any_cap := true;
-            let cap = Substrate.node_capacity st.sub p in
-            let ncost =
-              if cap <= 0.0 then infinity
-              else
-                let u0 = cap -. st.nres.(p) in
-                (alpha ** ((u0 +. dem) /. cap)) -. (alpha ** (u0 /. cap))
-            in
-            let feasible = ref true and pcost = ref 0.0 in
-            List.iter
-              (fun (u, vl) ->
-                if !feasible then begin
-                  let bw = req.Request.bw_demand vl in
-                  match
-                    constrained_path st ~weight:(congestion_weight st ~bw)
-                      ~need:bw p nodes.(u)
-                  with
-                  | Some (_, d) -> pcost := !pcost +. d
-                  | None ->
-                      feasible := false;
-                      (match
-                         constrained_path st ~weight:hop_weight ~need:0.0 p
-                           nodes.(u)
-                       with
-                      | Some _ ->
-                          if !cap_blocked = None then
-                            cap_blocked := Some (v, u, bw)
-                      | None ->
-                          if !live_blocked = None then live_blocked := Some (v, u))
-                end)
-              placed_nbrs;
-            if !feasible then cands := (ncost +. !pcost, p) :: !cands
-          end
-        end
-      done;
-      match List.rev !cands with
-      | [] ->
-          if not !any_cap then
-            raise
-              (Reject
-                 (Node_exhausted
-                    { vnode = v; demand = dem; best_residual = !best_res }))
-          else begin
-            match (!cap_blocked, !live_blocked) with
-            | Some (va, vb, bw), _ ->
-                raise (Reject (Link_exhausted { va; vb; demand = bw }))
-            | None, Some (va, vb) -> raise (Reject (Unreachable { va; vb }))
-            | None, None -> assert false
-          end
-      | cands ->
-          let minc =
-            List.fold_left (fun acc (c, _) -> Float.min acc c) infinity cands
-          in
-          let ties =
-            List.filter
-              (fun (c, _) -> c -. minc <= 1e-9 *. (1.0 +. Float.abs minc))
-              cands
-          in
-          let k = List.length ties in
-          let idx = (((req.Request.seed + v) mod k) + k) mod k in
-          let _, p = List.nth ties idx in
-          nodes.(v) <- p;
-          used.(p) <- true;
-          st.nres.(p) <- st.nres.(p) -. dem
+      let p = choose st req ~vnode:v ~dem ~used nbrs in
+      nodes.(v) <- p;
+      used.(p) <- true;
+      st.nres.(p) <- st.nres.(p) -. dem
     end
   done
+
+(* A capacity-feasible path for vlink [va]-[vb] from host [a] to host
+   [b], reserved in the snapshot, or the rejection saying why none
+   exists. *)
+let route_vlink st ~weight ~bw (va, vb) a b =
+  match constrained_path st ~weight ~need:bw a b with
+  | Some path ->
+      reserve_local_path st path bw;
+      path
+  | None -> (
+      match constrained_path st ~weight:hop_weight ~need:0.0 a b with
+      | Some _ -> raise (Reject (Link_exhausted { va; vb; demand = bw }))
+      | None -> raise (Reject (Unreachable { va; vb })))
 
 (* Map every virtual link onto a capacity-feasible physical path,
    reserving bandwidth incrementally (vlinks in normalised sorted order
@@ -316,14 +348,7 @@ let map_paths st ~vtopo (req : Request.t) nodes =
           | Request.Greedy -> igp_weight
           | Request.Online -> congestion_weight st ~bw
         in
-        match constrained_path st ~weight ~need:bw pa pb with
-        | Some (path, _) ->
-            reserve_local_path st path bw;
-            ((va, vb), path)
-        | None -> (
-            match constrained_path st ~weight:hop_weight ~need:0.0 pa pb with
-            | Some _ -> raise (Reject (Link_exhausted { va; vb; demand = bw }))
-            | None -> raise (Reject (Unreachable { va; vb }))))
+        ((va, vb), route_vlink st ~weight ~bw (va, vb) pa pb))
     vlinks
 
 let solve sub ~vtopo (req : Request.t) =
@@ -450,45 +475,6 @@ let plan_move sub ~vtopo (req : Request.t) m ~vnode ?target () =
     m.vpaths;
   let used = Array.make pn false in
   Array.iteri (fun v p -> if v <> vnode then used.(p) <- true) m.nodes;
-  let nbrs =
-    List.sort (fun (u1, _) (u2, _) -> compare u1 u2) (Graph.neighbors vtopo vnode)
-  in
-  let cap_blocked = ref None and live_blocked = ref None in
-  (* Candidate pricing, same cost model as [place_online]: exponential
-     node-congestion increment plus congestion-priced constrained paths
-     to every neighbour's (unmoved) host. *)
-  let price p =
-    let cap = Substrate.node_capacity st.sub p in
-    let ncost =
-      if cap <= 0.0 then infinity
-      else
-        let u0 = cap -. st.nres.(p) in
-        (alpha ** ((u0 +. dem) /. cap)) -. (alpha ** (u0 /. cap))
-    in
-    let feasible = ref true and pcost = ref 0.0 in
-    List.iter
-      (fun (u, vl) ->
-        if !feasible then begin
-          let bw = req.Request.bw_demand vl in
-          match
-            constrained_path st ~weight:(congestion_weight st ~bw) ~need:bw p
-              m.nodes.(u)
-          with
-          | Some (_, d) -> pcost := !pcost +. d
-          | None -> (
-              feasible := false;
-              match
-                constrained_path st ~weight:hop_weight ~need:0.0 p m.nodes.(u)
-              with
-              | Some _ ->
-                  if !cap_blocked = None then
-                    cap_blocked := Some (key vnode u, bw)
-              | None ->
-                  if !live_blocked = None then live_blocked := Some (key vnode u))
-        end)
-      nbrs;
-    if !feasible then Some (ncost +. !pcost) else None
-  in
   (* Final incident paths for the chosen host, reserved incrementally in
      the mapping's normalised vlink order so the mover's own paths cannot
      overcommit a link among themselves. *)
@@ -499,24 +485,13 @@ let plan_move sub ~vtopo (req : Request.t) m ~vnode ?target () =
           let u = if va = vnode then vb else va in
           match Graph.find_link vtopo va vb with
           | None -> None
-          | Some l -> (
+          | Some l ->
               let bw = req.Request.bw_demand l in
-              match
-                constrained_path st ~weight:(congestion_weight st ~bw) ~need:bw
+              let path =
+                route_vlink st ~weight:(congestion_weight st ~bw) ~bw (va, vb)
                   p m.nodes.(u)
-              with
-              | Some (path, _) ->
-                  reserve_local_path st path bw;
-                  let path = if va = vnode then path else List.rev path in
-                  Some ((va, vb), path)
-              | None -> (
-                  match
-                    constrained_path st ~weight:hop_weight ~need:0.0 p
-                      m.nodes.(u)
-                  with
-                  | Some _ ->
-                      raise (Reject (Link_exhausted { va; vb; demand = bw }))
-                  | None -> raise (Reject (Unreachable { va; vb }))))
+              in
+              Some ((va, vb), if va = vnode then path else List.rev path)
         end
         else None)
       m.vpaths
@@ -550,46 +525,17 @@ let plan_move sub ~vtopo (req : Request.t) m ~vnode ?target () =
                st.nres.(p));
         Ok (build p)
     | None ->
-        let cands = ref [] in
-        let best_res = ref 0.0 and any_cap = ref false in
-        for p = 0 to pn - 1 do
-          if Substrate.node_up st.sub p && not used.(p) then begin
-            if st.nres.(p) > !best_res then best_res := st.nres.(p);
-            if st.nres.(p) +. eps >= dem then begin
-              any_cap := true;
-              match price p with
-              | Some c -> cands := (c, p) :: !cands
-              | None -> ()
-            end
-          end
-        done;
-        (match List.rev !cands with
-        | [] ->
-            if not !any_cap then
-              raise
-                (Reject
-                   (Node_exhausted
-                      { vnode; demand = dem; best_residual = !best_res }))
-            else begin
-              match (!cap_blocked, !live_blocked) with
-              | Some ((va, vb), bw), _ ->
-                  raise (Reject (Link_exhausted { va; vb; demand = bw }))
-              | None, Some (va, vb) -> raise (Reject (Unreachable { va; vb }))
-              | None, None -> assert false
-            end
-        | cands ->
-            let minc =
-              List.fold_left (fun acc (c, _) -> Float.min acc c) infinity cands
-            in
-            let ties =
-              List.filter
-                (fun (c, _) -> c -. minc <= 1e-9 *. (1.0 +. Float.abs minc))
-                cands
-            in
-            let k = List.length ties in
-            let idx = (((req.Request.seed + vnode) mod k) + k) mod k in
-            let _, p = List.nth ties idx in
-            Ok (build p))
+        (* Same cost model as [place_online], against the neighbours'
+           unmoved hosts; a crashed survivor's host prices as
+           unreachable. *)
+        let nbrs =
+          List.map
+            (fun (u, vl) -> (key vnode u, m.nodes.(u), req.Request.bw_demand vl))
+            (List.sort
+               (fun (u1, _) (u2, _) -> compare u1 u2)
+               (Graph.neighbors vtopo vnode))
+        in
+        Ok (build (choose st req ~vnode ~dem ~used nbrs))
   with Reject r -> Error r
 
 exception Check_failed of string

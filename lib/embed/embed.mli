@@ -12,7 +12,9 @@
       virtual links take capacity-feasible IGP-shortest paths.
     - {!Request.Online} — deterministic online placement in the style of
       Even et al.: candidates are priced by exponential congestion costs
-      ([alpha]{^ utilisation}), virtual nodes arrive in id order, and
+      ([alpha]{^ utilisation}), one shortest-path search per placed
+      virtual neighbour pricing every candidate host at once; virtual
+      nodes arrive in id order, and
       exact-cost ties are broken by a seeded, stable rule — byte-identical
       runs for equal seeds.
 
@@ -117,7 +119,10 @@ val plan_move :
     — the plan describes the steady state after the old share is
     withdrawn.  [target] forces a specific host (validated like a pin);
     otherwise the cheapest candidate wins, exact-cost ties broken by the
-    request seed.  The current host is itself a candidate, so a plan that
+    request seed.  A neighbour whose host is down is reachable from no
+    candidate, so such a plan is rejected: with the first failure in
+    candidate order, [Unreachable] for the dead vlink unless a
+    capacity-blocked vlink ranks first ([Link_exhausted]).  The current host is itself a candidate, so a plan that
     returns the same host means "no profitable move".  Pure: reserves
     nothing; drive the actual move with {!commit_delta} /
     {!withdraw_delta}. *)

@@ -356,11 +356,10 @@ let of_json j =
 
 let load_file path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-      match Json.of_string text with
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-      | Ok j -> of_json j)
+  | exception Sys_error msg -> Error msg (* already names the file *)
+  | text ->
+      Result.map_error (Printf.sprintf "%s: %s" path)
+        (Result.bind (Json.of_string text) of_json)
 
 let parse_kind name ~n ?alpha ?beta ?degree ?bandwidth_bps () =
   match name with

@@ -78,7 +78,8 @@ val of_json : Vini_std.Json.t -> (Vini_topo.Graph.t, string) result
     comes from the document.  Rejects wrong or missing schema tags. *)
 
 val load_file : string -> (Vini_topo.Graph.t, string) result
-(** Read and [of_json] a file; I/O errors become [Error]. *)
+(** Read and [of_json] a file.  I/O, JSON and schema errors become
+    [Error "<path>: <reason>"]. *)
 
 val parse_kind :
   string ->

@@ -231,6 +231,311 @@ let prop_solvers_respect_capacity =
              <= Substrate.link_capacity sub l.Graph.a l.Graph.b +. eps)
            (Graph.links g))
 
+(* --- equivalence with per-candidate pricing ------------------------------- *)
+
+(* The online pricing as a direct, slow oracle: a fresh early-exit
+   constrained Dijkstra from every candidate host to every placed
+   neighbour's host, against the same residual snapshot the solver
+   takes.  The solver prices every candidate from one search per
+   neighbour; the property below checks that it chooses exactly what
+   this oracle chooses. *)
+module Per_candidate = struct
+  module Rng = Vini_std.Rng
+
+  let eps = 1e-9
+  let alpha = 8.0
+  let key a b = (min a b, max a b)
+
+  type st = {
+    sub : Substrate.t;
+    sg : Graph.t;
+    nres : float array;
+    lres : (int * int, float) Hashtbl.t;
+  }
+
+  let snapshot sub =
+    let sg = Substrate.graph sub in
+    let lres = Hashtbl.create 64 in
+    List.iter
+      (fun (l : Graph.link) ->
+        Hashtbl.replace lres (key l.Graph.a l.Graph.b)
+          (Substrate.link_residual sub l.Graph.a l.Graph.b))
+      (Graph.links sg);
+    {
+      sub;
+      sg;
+      nres = Array.init (Graph.node_count sg) (Substrate.node_residual sub);
+      lres;
+    }
+
+  let residual st a b =
+    Option.value ~default:0.0 (Hashtbl.find_opt st.lres (key a b))
+
+  let distance st ~weight ~need src dst =
+    let n = Graph.node_count st.sg in
+    let dist = Array.make n infinity and visited = Array.make n false in
+    dist.(src) <- 0.0;
+    let heap =
+      Vini_std.Heap.create ~cmp:(fun (d1, n1) (d2, n2) ->
+          let c = Float.compare d1 d2 in
+          if c <> 0 then c else compare n1 n2)
+    in
+    Vini_std.Heap.push heap (0.0, src);
+    let rec loop () =
+      match Vini_std.Heap.pop heap with
+      | None -> ()
+      | Some (_, u) when u = dst -> ()
+      | Some (_, u) when visited.(u) -> loop ()
+      | Some (_, u) ->
+          visited.(u) <- true;
+          List.iter
+            (fun (v, l) ->
+              if
+                (not visited.(v))
+                && Substrate.node_up st.sub v
+                && Substrate.link_up st.sub u v
+                && residual st u v +. eps >= need
+              then begin
+                let d = dist.(u) +. weight l in
+                if d < dist.(v) then begin
+                  dist.(v) <- d;
+                  Vini_std.Heap.push heap (d, v)
+                end
+              end)
+            (Graph.neighbors st.sg u);
+          loop ()
+    in
+    loop ();
+    if dist.(dst) = infinity then None else Some dist.(dst)
+
+  let congestion_weight st ~bw (l : Graph.link) =
+    let a = l.Graph.a and b = l.Graph.b in
+    let cap = Substrate.link_capacity st.sub a b in
+    if cap <= 0.0 then 1.0
+    else
+      let used = cap -. residual st a b in
+      1.0 +. (alpha ** ((used +. bw) /. cap)) -. (alpha ** (used /. cap))
+
+  (* [nbrs]: (vlink ends named by a rejection, neighbour's host, bw). *)
+  let pick st (req : Request.t) ~vnode ~dem ~used nbrs =
+    let cands = ref [] and best_res = ref 0.0 and any_cap = ref false in
+    let cap_blocked = ref None and live_blocked = ref None in
+    for p = 0 to Graph.node_count st.sg - 1 do
+      if Substrate.node_up st.sub p && not used.(p) then begin
+        if st.nres.(p) > !best_res then best_res := st.nres.(p);
+        if st.nres.(p) +. eps >= dem then begin
+          any_cap := true;
+          let cap = Substrate.node_capacity st.sub p in
+          let ncost =
+            if cap <= 0.0 then infinity
+            else
+              let u0 = cap -. st.nres.(p) in
+              (alpha ** ((u0 +. dem) /. cap)) -. (alpha ** (u0 /. cap))
+          in
+          let feasible = ref true and pcost = ref 0.0 in
+          List.iter
+            (fun (ends, host, bw) ->
+              if !feasible then
+                match
+                  distance st ~weight:(congestion_weight st ~bw) ~need:bw p host
+                with
+                | Some d -> pcost := !pcost +. d
+                | None ->
+                    feasible := false;
+                    if
+                      distance st ~weight:(fun _ -> 1.0) ~need:0.0 p host
+                      <> None
+                    then begin
+                      if !cap_blocked = None then cap_blocked := Some (ends, bw)
+                    end
+                    else if !live_blocked = None then live_blocked := Some ends)
+            nbrs;
+          if !feasible then cands := (ncost +. !pcost, p) :: !cands
+        end
+      end
+    done;
+    match (List.rev !cands, !any_cap, !cap_blocked, !live_blocked) with
+    | [], false, _, _ ->
+        Error
+          (Embed.Node_exhausted
+             { vnode; demand = dem; best_residual = !best_res })
+    | [], true, Some ((va, vb), bw), _ ->
+        Error (Embed.Link_exhausted { va; vb; demand = bw })
+    | [], true, None, Some (va, vb) -> Error (Embed.Unreachable { va; vb })
+    | [], true, None, None -> assert false
+    | cands, _, _, _ ->
+        let minc =
+          List.fold_left (fun acc (c, _) -> Float.min acc c) infinity cands
+        in
+        let ties =
+          List.filter
+            (fun (c, _) -> c -. minc <= 1e-9 *. (1.0 +. Float.abs minc))
+            cands
+        in
+        let k = List.length ties in
+        Ok (snd (List.nth ties ((((req.Request.seed + vnode) mod k) + k) mod k)))
+
+  (* Online [solve] for pin-free requests: place here, then let the
+     solver route the placement by pinning every vnode to it. *)
+  let solve sub ~vtopo (req : Request.t) =
+    let st = snapshot sub in
+    let vn = Graph.node_count vtopo and pn = Graph.node_count st.sg in
+    let up = List.length (List.filter (Substrate.node_up sub) (Graph.nodes st.sg)) in
+    if vn > up then Error (Embed.Too_large { vnodes = vn; pnodes = up })
+    else
+      let nodes = Array.make vn (-1) and used = Array.make pn false in
+      let rec place v =
+        if v = vn then
+          Embed.solve sub ~vtopo
+            { req with Request.pins = List.mapi (fun v p -> (v, p)) (Array.to_list nodes) }
+        else
+          let dem = req.Request.cpu_demand v in
+          let nbrs =
+            List.filter_map
+              (fun (u, vl) ->
+                if nodes.(u) >= 0 then
+                  Some ((v, u), nodes.(u), req.Request.bw_demand vl)
+                else None)
+              (Graph.neighbors vtopo v)
+          in
+          match pick st req ~vnode:v ~dem ~used nbrs with
+          | Error r -> Error r
+          | Ok p ->
+              nodes.(v) <- p;
+              used.(p) <- true;
+              st.nres.(p) <- st.nres.(p) -. dem;
+              place (v + 1)
+      in
+      place 0
+
+  (* [plan_move] without a target: credit the mover's share back, pick
+     here, then let the planner route the pick as an explicit target. *)
+  let plan_move sub ~vtopo (req : Request.t) (m : Embed.mapping) ~vnode =
+    let st = snapshot sub in
+    let dem = req.Request.cpu_demand vnode in
+    let home = m.Embed.nodes.(vnode) in
+    st.nres.(home) <- st.nres.(home) +. dem;
+    List.iter
+      (fun ((va, vb), path) ->
+        if va = vnode || vb = vnode then
+          match Graph.find_link vtopo va vb with
+          | Some l when req.Request.bw_demand l > 0.0 ->
+              let bw = req.Request.bw_demand l in
+              let rec credit = function
+                | a :: (b :: _ as rest) ->
+                    Hashtbl.replace st.lres (key a b) (residual st a b +. bw);
+                    credit rest
+                | [ _ ] | [] -> ()
+              in
+              credit path
+          | _ -> ())
+      m.Embed.vpaths;
+    let used = Array.make (Graph.node_count st.sg) false in
+    Array.iteri (fun v p -> if v <> vnode then used.(p) <- true) m.Embed.nodes;
+    let nbrs =
+      List.map
+        (fun (u, vl) -> (key vnode u, m.Embed.nodes.(u), req.Request.bw_demand vl))
+        (List.sort (fun (a, _) (b, _) -> compare a b) (Graph.neighbors vtopo vnode))
+    in
+    match pick st req ~vnode ~dem ~used nbrs with
+    | Error r -> Error r
+    | Ok p -> Embed.plan_move sub ~vtopo req m ~vnode ~target:p ()
+
+  (* A seeded case: a generated backbone or Waxman substrate under random
+     CPU and link load, perhaps with crashed machines and links, and a
+     ring or Waxman slice whose CPU and bandwidth demands may not fit.
+     Returns [disturb], which loads and crashes some more. *)
+  let case seed ~waxman =
+    let rng = Rng.create seed in
+    let kind =
+      if waxman then Vini_scenario.Generate.waxman (10 + Rng.int rng 30)
+      else Vini_scenario.Generate.backbone (16 + Rng.int rng 32)
+    in
+    let g =
+      Vini_scenario.Generate.generate { Vini_scenario.Generate.kind; seed }
+    in
+    let n = Graph.node_count g in
+    let under =
+      Underlay.create ~engine:(Engine.create ~seed ()) ~rng:(Rng.create seed)
+        ~graph:g ~mask_failures:false ()
+    in
+    let sub = Substrate.of_underlay under in
+    let links = Array.of_list (Graph.links g) in
+    let disturb () =
+      List.iter
+        (fun p ->
+          if Rng.bool rng then
+            Substrate.reserve_node sub p
+              (Rng.float rng 0.9 *. Float.max 0.0 (Substrate.node_residual sub p)))
+        (Graph.nodes g);
+      List.iter
+        (fun (l : Graph.link) ->
+          let a = l.Graph.a and b = l.Graph.b in
+          if Rng.int rng 3 = 0 then
+            Substrate.reserve_path sub [ a; b ]
+              (Rng.float rng 0.95
+              *. Float.max 0.0 (Substrate.link_residual sub a b)))
+        (Graph.links g);
+      for _ = 1 to Rng.int rng (1 + (n / 6)) do
+        Underlay.set_node_state under (Rng.int rng n) false
+      done;
+      for _ = 1 to Rng.int rng (1 + (n / 3)) do
+        let l = Rng.choose rng links in
+        Underlay.set_link_state under l.Graph.a l.Graph.b false
+      done
+    in
+    disturb ();
+    let nv = 3 + Rng.int rng 5 in
+    let vtopo =
+      if Rng.bool rng then Migration.virtual_ring nv
+      else Vini_topo.Datasets.waxman ~rng:(Rng.create (seed + 1)) ~n:nv ()
+    in
+    let cpu_max = if Rng.int rng 5 = 0 then 1.2 else 0.5 in
+    let cpus = Array.init nv (fun _ -> Rng.float rng cpu_max) in
+    let link_bw = (List.hd (Graph.links g)).Graph.bandwidth_bps in
+    let bws = Hashtbl.create 16 in
+    List.iter
+      (fun (l : Graph.link) ->
+        Hashtbl.replace bws (key l.Graph.a l.Graph.b)
+          (link_bw
+          *.
+          match Rng.int rng 4 with
+          | 0 -> 0.0
+          | 1 -> Rng.float rng 1.5
+          | _ -> Rng.float rng 0.4))
+      (Graph.links vtopo);
+    let req =
+      Request.make
+        ~cpu:(fun v -> cpus.(v))
+        ~bw:(fun l -> Hashtbl.find bws (key l.Graph.a l.Graph.b))
+        ~algo:Request.Online ~seed ()
+    in
+    (sub, vtopo, req, disturb)
+end
+
+let prop_online_matches_per_candidate =
+  QCheck.Test.make
+    ~name:"online solve and plan_move match per-candidate pricing" ~count:200
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, waxman) ->
+      let seed = abs seed in
+      let sub, vtopo, req, disturb = Per_candidate.case seed ~waxman in
+      let got = Embed.solve sub ~vtopo req in
+      got = Per_candidate.solve sub ~vtopo req
+      &&
+      match got with
+      | Error _ -> true
+      | Ok m ->
+          (* Plan every vnode's move on a substrate loaded further since
+             admission, where a survivor's host may have crashed. *)
+          Embed.commit sub ~vtopo req m;
+          disturb ();
+          List.for_all
+            (fun vnode ->
+              Embed.plan_move sub ~vtopo req m ~vnode ()
+              = Per_candidate.plan_move sub ~vtopo req m ~vnode)
+            (Graph.nodes vtopo))
+
 (* --- crash-driven re-embedding, end to end -------------------------------- *)
 
 let test_crash_migration_end_to_end () =
@@ -378,4 +683,5 @@ let suite =
       test_planned_restore_is_not_migrated;
     Alcotest.test_case "re-embed converges to fresh deploy" `Quick
       test_reembed_converges_to_fresh_deploy;
+    QCheck_alcotest.to_alcotest prop_online_matches_per_candidate;
   ]

@@ -183,6 +183,50 @@ let test_plan_rejection_is_structured () =
                  (Embed.rejection_to_string r));
   check Alcotest.int "nothing in flight" 0 (Vini.pending_migrations inst)
 
+(* A neighbour's host crashed under a committed slice: no candidate can
+   reach it, so planning a move of vnode 0 is rejected with the first
+   failure in candidate order — [Unreachable] on the dead vlink, unless a
+   capacity-blocked vlink ranks first, as [Link_exhausted]. *)
+let test_plan_move_with_crashed_neighbour_host () =
+  let g = Vini_rcc.Rcc.abilene () in
+  let under =
+    Underlay.create ~engine:(Engine.create ~seed:7 ())
+      ~rng:(Vini_std.Rng.create 7) ~graph:g ()
+  in
+  let sub = Substrate.of_underlay under in
+  let vtopo = Migration.virtual_ring 6 in
+  let bw = 1e8 in
+  let req =
+    Request.make ~cpu:(fun _ -> 0.25) ~bw:(fun _ -> bw) ~algo:Request.Online
+      ~seed:7 ()
+  in
+  let m =
+    match Embed.admit sub ~vtopo req with
+    | Ok m -> m
+    | Error r -> Alcotest.failf "admit: %s" (Embed.rejection_to_string r)
+  in
+  Underlay.set_node_state under m.Embed.nodes.(5) false;
+  (match Embed.plan_move sub ~vtopo req m ~vnode:0 () with
+  | Error (Embed.Unreachable { va = 0; vb = 5 }) -> ()
+  | Ok _ -> Alcotest.fail "planned a move next to a dead host"
+  | Error r ->
+      Alcotest.failf "wrong rejection: %s" (Embed.rejection_to_string r));
+  (* Leave every plink short of [bw]; only the paths vnode 0 gives back
+     on moving can still carry its vlinks, so some candidate is
+     capacity-blocked towards vnode 1's live host. *)
+  List.iter
+    (fun (l : Graph.link) ->
+      let a = l.Graph.a and b = l.Graph.b in
+      Substrate.reserve_path sub [ a; b ]
+        (Substrate.link_residual sub a b -. (bw /. 2.0)))
+    (Graph.links g);
+  match Embed.plan_move sub ~vtopo req m ~vnode:0 () with
+  | Error (Embed.Link_exhausted { va = 0; vb = 1; demand }) ->
+      check (Alcotest.float 1.0) "demand" bw demand
+  | Ok _ -> Alcotest.fail "planned a move next to a dead host"
+  | Error r ->
+      Alcotest.failf "wrong rejection: %s" (Embed.rejection_to_string r)
+
 (* --- satellite 2: rejected re-embed parks the vnode, accounts exact ----- *)
 
 let prop_rejected_reembed_restores_residuals =
@@ -470,4 +514,6 @@ let suite =
     Alcotest.test_case "planned export identical across runs" `Quick
       test_planned_export_identical_across_runs;
     QCheck_alcotest.to_alcotest prop_planned_lossless_crash_has_downtime;
+    Alcotest.test_case "plan_move with a crashed neighbour host" `Quick
+      test_plan_move_with_crashed_neighbour_host;
   ]
