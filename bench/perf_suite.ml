@@ -252,6 +252,54 @@ let scen_embed algo () =
     done
   done
 
+(* The hybrid campaign's two substrate-wide costs on the same backbone,
+   informational like the rows above.  [scenario.reroute200] is one
+   crash/reboot pair of a PoP: two all-pairs route rebuilds, each one
+   Dijkstra per source plus the next-hop and forwarding tables.
+   [scenario.fluid_tick200] is one 100 ms fold of the 1M-user workload at
+   hybrid fidelity: pull the due flows, walk each one's path through the
+   next-hop table, drain and price all 2 x links directed queues. *)
+
+let scen_reroutes = scale 10
+let scen_ticks = scale 400
+
+let scen_underlay () =
+  let engine = Vini_sim.Engine.create ~seed:42 () in
+  let graph = Vini_scenario.Generate.generate scen_spec in
+  let under =
+    Vini_phys.Underlay.create ~engine
+      ~rng:(Rng.split (Vini_sim.Engine.rng engine))
+      ~graph ()
+  in
+  (engine, under)
+
+let scen_reroute_loop under () =
+  for _ = 1 to scen_reroutes do
+    Vini_phys.Underlay.set_node_state under 0 false;
+    Vini_phys.Underlay.set_node_state under 0 true
+  done
+
+let scen_fluid_setup () =
+  let module F = Vini_scenario.Fluid in
+  let engine, under = scen_underlay () in
+  let cfg =
+    {
+      F.fidelity = F.Hybrid;
+      tick = F.default_tick;
+      workload = Vini_scenario.Workload.default ~users:1_000_000 ~seed:7;
+    }
+  in
+  ignore (F.install ~under cfg);
+  (* Past the first seconds, so queues and the stream are warm. *)
+  Vini_sim.Engine.run ~until:(Vini_sim.Time.sec 5) engine;
+  engine
+
+let scen_fluid_loop engine () =
+  let module Engine = Vini_sim.Engine in
+  for _ = 1 to scen_ticks do
+    Engine.run ~until:(Engine.now engine + Vini_scenario.Fluid.default_tick) engine
+  done
+
 (* ---- Live-migration cutover ------------------------------------------- *)
 
 (* Cost of one complete make-before-break cycle — pre-clone,
@@ -647,6 +695,14 @@ let run () =
     bench ~name:"scenario.embed200_online" ~ops:scen_ops
       (scen_embed Vini_embed.Request.Online)
   in
+  let scen_reroute =
+    bench ~name:"scenario.reroute200" ~ops:scen_reroutes
+      (scen_reroute_loop (snd (scen_underlay ())))
+  in
+  let scen_tick =
+    bench ~name:"scenario.fluid_tick200" ~ops:scen_ticks
+      (scen_fluid_loop (scen_fluid_setup ()))
+  in
   let migrate_b =
     bench ~name:"embed.migrate_cutover" ~ops:migrate_cycles
       (migrate_cutover_loop (migrate_cutover_setup ()))
@@ -665,7 +721,7 @@ let run () =
   let benches =
     [ heap_b; evq_b; rearm_cancel_b; rearm_timer_b; ref_flow; fib_flow;
       ref_uni; fib_uni; embed_greedy; embed_online; scen_gen_b; scen_wl_b;
-      scen_greedy; scen_online; migrate_b; dp_single;
+      scen_greedy; scen_online; scen_reroute; scen_tick; migrate_b; dp_single;
       dp_batch; macro_b; spans_off_a; spans_on; spans_off_b; prof_off_a;
       prof_on; prof_off_b ]
   in

@@ -510,20 +510,30 @@ let run_cmd =
     let module Engine = Vini_sim.Engine in
     let module Time = Vini_sim.Time in
     let module Graph = Vini_topo.Graph in
+    (* A spec that cannot be read, parsed or elaborated (including a bad
+       [topology load FILE]) prints one located line and exits 1. *)
+    let spec_error e =
+      Printf.eprintf "%s: %s\n" (Option.value spec_file ~default:"<example>") e;
+      exit 1
+    in
     let text =
       match spec_file with
       | None -> Vini_core.Spec_lang.example
-      | Some path ->
-          let ic = open_in path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
+      | Some path -> (
+          match In_channel.with_open_bin path In_channel.input_all with
+          | s -> s
+          | exception Sys_error e ->
+              (* A failed open names the file; a failed read does not. *)
+              if String.starts_with ~prefix:(path ^ ": ") e then begin
+                prerr_endline e;
+                exit 1
+              end
+              else spec_error e)
     in
     let parsed =
       match Vini_core.Spec_lang.parse text with
       | Ok p -> p
-      | Error e -> failwith ("spec error: " ^ e)
+      | Error e -> spec_error e
     in
     (* A [topology ...] line in the spec wins over [--phys]: the declared
        substrate is resolved here and used for both the underlay and the
@@ -532,12 +542,12 @@ let run_cmd =
       match Vini_core.Spec_lang.substrate_graph parsed with
       | Ok (Some g) -> (g, Graph.label g)
       | Ok None -> (physical_topology ~seed phys_name, phys_name)
-      | Error e -> failwith ("spec error: " ^ e)
+      | Error e -> spec_error e
     in
     let spec =
       match Vini_core.Spec_lang.to_spec parsed ~phys with
       | Ok s -> s
-      | Error e -> failwith ("spec error: " ^ e)
+      | Error e -> spec_error e
     in
     Printf.printf "experiment %S: %d virtual nodes on substrate %S\n"
       spec.Vini_core.Experiment.exp_name
@@ -846,7 +856,11 @@ let run_cmd =
   let spec_arg =
     Arg.(value & opt (some file) None
          & info [ "spec" ] ~docv:"FILE"
-             ~doc:"Experiment specification (default: a built-in example).")
+             ~doc:"Experiment specification (default: a built-in example).  \
+                   A spec that cannot be read, parsed or elaborated, or \
+                   whose $(b,topology load) file is not a valid vini.topo/1 \
+                   document, prints one $(i,FILE): $(i,error) line on \
+                   stderr and exits 1.")
   in
   let phys_arg =
     Arg.(value & opt string "mesh"

@@ -26,18 +26,26 @@ type t = {
   graph : Graph.t;
   pnodes : Pnode.t array;
   by_addr : (Addr.t, Pnode.t) Hashtbl.t;
-  links : (int * int, Plink.t) Hashtbl.t;
-  link_up : (int * int, bool) Hashtbl.t;
+  (* Dense link state, [n * n] entries.  [hops.(u * n + v)] is
+     [Some (v, plink)] when a link joins [u] and [v] (both directions
+     share the plink), [None] otherwise; the entries are built once at
+     create, so forwarding-table rebuilds allocate nothing.
+     [link_up.(min * n + max)] is the administrative state, [false] for
+     non-adjacent pairs. *)
+  hops : (int * Plink.t) option array;
+  link_up : bool array;
   mask_failures : bool;
-  (* prev.(src).(v) = predecessor of v on the shortest path from src *)
-  mutable prev : Graph.node_id option array array;
-  (* Per-(from, dst) forwarding cache: the next hop and its plink when a
-     usable (existing, administratively up) link leads that way, [None]
-     when the packet would blackhole.  Rebuilt by [rebuild_fwd] on every
-     route recomputation and link-state flip, so the per-packet fast path
-     is two array loads instead of a prev-chain walk plus three hashtable
-     probes.  Entries are preallocated; lookups allocate nothing. *)
-  mutable fwd : (int * Plink.t) option array array;
+  (* nh.(from).(dst) = first hop from [from] on its shortest-path tree
+     towards [dst], -1 when there is none (or [from = dst]).  Each row is
+     derived from that source's Dijkstra [prev] row and reused in place
+     on every rebuild. *)
+  nh : int array array;
+  (* Per-(from, dst) forwarding cache: the [hops] entry of the next hop
+     when a usable (existing, administratively up) link leads that way,
+     [None] when the packet would blackhole.  Refreshed in place by
+     [rebuild_fwd] on every route recomputation and link-state flip, so
+     the per-packet fast path is two array loads. *)
+  fwd : (int * Plink.t) option array array;
   (* Dense addr → node-id table for the per-packet destination resolve.
      [addr_idx.(Addr.to_int a - addr_base)] is the node id, or -1 for a
      non-node address.  Built only when node addresses span a small range
@@ -49,48 +57,62 @@ type t = {
   mutable blackholed : int;
 }
 
-let key a b = (min a b, max a b)
+let key n a b = if a < b then (a * n) + b else (b * n) + a
 
 let default_addr i =
   if i < 246 then Addr.of_octets 198 32 154 (10 + i)
   else Addr.add (Addr.of_octets 198 32 155 0) (i - 246)
 
+(* The [hops] entry for [a -> b]; [None] when they are not adjacent or
+   not nodes at all. *)
+let hop t a b =
+  let n = Array.length t.pnodes in
+  if a < 0 || b < 0 || a >= n || b >= n then None else t.hops.((a * n) + b)
+
 let weight_when_up t l =
-  let up = try Hashtbl.find t.link_up (key l.Graph.a l.Graph.b) with Not_found -> true in
+  let up = t.link_up.(key (Array.length t.pnodes) l.Graph.a l.Graph.b) in
   (* A link into a crashed machine is as unusable as a cut fiber. *)
   let ends_up = Pnode.is_up t.pnodes.(l.Graph.a) && Pnode.is_up t.pnodes.(l.Graph.b) in
   if up && ends_up then l.Graph.weight else 100_000_000
 
-(* prev is rooted at [from], so the next hop towards [dst] is found by
-   walking back from [dst]. *)
-let next_hop_of_prev prev ~from ~dst =
-  if from = dst then None
-  else
-    let rec back v =
-      match prev.(v) with
-      | None -> None
-      | Some p when p = from -> Some v
-      | Some p -> back p
-    in
-    back dst
+let unresolved = -2
+
+(* Fill [row] (rooted at [from]) from that source's [prev] row in O(n):
+   the first hop towards [d] is [d] itself when [prev d = from], else the
+   first hop towards [prev d].  A node on a [prev] cycle resolves to -1
+   rather than looping. *)
+let fill_row row prev ~from =
+  Array.fill row 0 (Array.length row) unresolved;
+  row.(from) <- -1;
+  let rec resolve d =
+    let r = row.(d) in
+    if r <> unresolved then r
+    else begin
+      row.(d) <- -1;
+      let r =
+        match prev.(d) with
+        | None -> -1
+        | Some p -> if p = from then d else resolve p
+      in
+      row.(d) <- r;
+      r
+    end
+  in
+  for d = 0 to Array.length row - 1 do
+    ignore (resolve d)
+  done
 
 let rebuild_fwd t =
   let n = Array.length t.pnodes in
-  t.fwd <-
-    Array.init n (fun from ->
-        Array.init n (fun dst ->
-            match next_hop_of_prev t.prev.(from) ~from ~dst with
-            | None -> None
-            | Some nh -> (
-                let k = key from nh in
-                let up =
-                  try Hashtbl.find t.link_up k with Not_found -> false
-                in
-                if not up then None
-                else
-                  match Hashtbl.find_opt t.links k with
-                  | None -> None
-                  | Some plink -> Some (nh, plink))))
+  for from = 0 to n - 1 do
+    let nh_row = t.nh.(from) and fwd_row = t.fwd.(from) in
+    for dst = 0 to n - 1 do
+      let h = nh_row.(dst) in
+      fwd_row.(dst) <-
+        (if h >= 0 && t.link_up.(key n from h) then t.hops.((from * n) + h)
+         else None)
+    done
+  done
 
 (* Per-packet destination resolve: a bounds check plus one array load on
    the dense path; the hashtable only serves scattered custom [addr_of]
@@ -107,11 +129,12 @@ let node_id_of_dst t a =
     | None -> -1
 
 let recompute_routes t =
-  let n = Graph.node_count t.graph in
-  t.prev <-
-    Array.init n (fun src ->
-        let _, prev = Graph.dijkstra ~weight_of:(weight_when_up t) t.graph src in
-        prev);
+  let weight_of = weight_when_up t in
+  Array.iteri
+    (fun src row ->
+      let _, prev = Graph.dijkstra ~weight_of t.graph src in
+      fill_row row prev ~from:src)
+    t.nh;
   rebuild_fwd t
 
 let rec create ~engine ~rng ~graph
@@ -153,8 +176,8 @@ let rec create ~engine ~rng ~graph
       end
     end
   in
-  let links = Hashtbl.create 16 in
-  let link_up = Hashtbl.create 16 in
+  let hops = Array.make (n * n) None in
+  let link_up = Array.make (n * n) false in
   List.iter
     (fun (l : Graph.link) ->
       let plink =
@@ -164,8 +187,9 @@ let rec create ~engine ~rng ~graph
                (Graph.name graph l.b))
           ~bandwidth_bps:l.bandwidth_bps ~delay:l.delay ~loss:l.loss ()
       in
-      Hashtbl.replace links (key l.a l.b) plink;
-      Hashtbl.replace link_up (key l.a l.b) true)
+      hops.((l.a * n) + l.b) <- Some (l.b, plink);
+      hops.((l.b * n) + l.a) <- Some (l.a, plink);
+      link_up.(key n l.a l.b) <- true)
     (Graph.links graph);
   let t =
     {
@@ -175,11 +199,11 @@ let rec create ~engine ~rng ~graph
       by_addr;
       addr_base;
       addr_idx;
-      links;
+      hops;
       link_up;
       mask_failures;
-      prev = [||];
-      fwd = [||];
+      nh = Array.init n (fun _ -> Array.make n (-1));
+      fwd = Array.init n (fun _ -> Array.make n None);
       subscribers = [];
       blackholed = 0;
     }
@@ -188,10 +212,7 @@ let rec create ~engine ~rng ~graph
   Array.iter (fun p -> Pnode.set_tx p (fun pkt -> originate t p pkt)) pnodes;
   t
 
-(* Routing: walk the prev-chain of the shortest-path tree rooted at the
-   destination?  No — prev is rooted at each source, so the next hop from
-   [from] towards [dst] is found by walking back from [dst]. *)
-and next_hop_id t ~from ~dst = next_hop_of_prev t.prev.(from) ~from ~dst
+and next_hop_id t ~from ~dst = t.nh.(from).(dst)
 
 (* [inline] is threaded from call sites that are in tail position of an
    event callback (plink arrivals, kernel-work continuations): it lets the
@@ -255,28 +276,27 @@ let addr t i = Pnode.addr t.pnodes.(i)
 let nodes t = Array.to_list t.pnodes
 
 let plink t a b =
-  match Hashtbl.find_opt t.links (key a b) with
-  | Some l -> l
-  | None -> raise Not_found
+  match hop t a b with Some (_, l) -> l | None -> raise Not_found
 
 let set_link_state t a b up =
-  let k = key a b in
-  if not (Hashtbl.mem t.links k) then raise Not_found;
-  let was = try Hashtbl.find t.link_up k with Not_found -> true in
-  if was <> up then begin
-    Hashtbl.replace t.link_up k up;
-    Plink.set_up (Hashtbl.find t.links k) up;
-    (* Masking reroutes (which rebuilds the forwarding cache); without
-       masking the routes stand but the cache must still see the flip. *)
-    if t.mask_failures then recompute_routes t else rebuild_fwd t;
-    let ev = if up then Link_up (a, b) else Link_down (a, b) in
-    List.iter (fun f -> f ev) t.subscribers
-  end
+  match hop t a b with
+  | None -> raise Not_found
+  | Some (_, plink) ->
+      let k = key (Array.length t.pnodes) a b in
+      if t.link_up.(k) <> up then begin
+        t.link_up.(k) <- up;
+        Plink.set_up plink up;
+        (* Masking reroutes (which rebuilds the forwarding cache); without
+           masking the routes stand but the cache must still see the flip. *)
+        if t.mask_failures then recompute_routes t else rebuild_fwd t;
+        let ev = if up then Link_up (a, b) else Link_down (a, b) in
+        List.iter (fun f -> f ev) t.subscribers
+      end
 
 let link_is_up t a b =
-  match Hashtbl.find_opt t.link_up (key a b) with
-  | Some up -> up
+  match hop t a b with
   | None -> false
+  | Some _ -> t.link_up.(key (Array.length t.pnodes) a b)
 
 let set_node_state t i up =
   let node = t.pnodes.(i) in
@@ -292,5 +312,7 @@ let set_node_state t i up =
 let node_is_up t i = Pnode.is_up t.pnodes.(i)
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
-let next_hop t ~from ~dst = next_hop_id t ~from ~dst
+let next_hop t ~from ~dst =
+  let h = next_hop_id t ~from ~dst in
+  if h < 0 then None else Some h
 let blackholed t = t.blackholed

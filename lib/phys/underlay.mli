@@ -74,5 +74,11 @@ val next_hop :
   Vini_topo.Graph.node_id option
 (** Current underlay routing decision (for tests and inspection). *)
 
+val next_hop_id :
+  t -> from:Vini_topo.Graph.node_id -> dst:Vini_topo.Graph.node_id -> int
+(** {!next_hop} as a plain table read: the node id, or -1 where
+    {!next_hop} is [None].  Allocates nothing; the fluid model walks
+    every background flow's path with it. *)
+
 val blackholed : t -> int
 (** Packets dropped for lack of a usable route. *)

@@ -45,15 +45,25 @@ type totals = {
 
 (* One fluid queue per directed substrate link.  [inflow] accumulates
    demand routed onto the link since the last fold; the fold drains it
-   against capacity and leaves [backlog]. *)
+   against capacity and leaves [backlog].  The remaining fields are the
+   link's load as of the last fold, updated in place ([delay_s] is the
+   queue delay in seconds; {!link_load} converts on read).  All fields
+   are floats, so the record is flat and updating it allocates nothing. *)
 type dir_q = {
   mutable backlog : float;  (* bytes queued *)
   mutable inflow : float;  (* bytes arrived this tick *)
-  mutable last : link_load;  (* as of the last fold, for readers *)
+  mutable util : float;
+  mutable delay_s : float;
+  mutable loss : float;
+  mutable offered_bps : float;
 }
 
-let zero_load =
-  { util = 0.0; queue_delay = Time.zero; loss = 0.0; offered_bps = 0.0 }
+(* Running byte counts, kept flat for the same reason. *)
+type sums = {
+  mutable offered : float;
+  mutable drained : float;
+  mutable dropped : float;
+}
 
 type t = {
   cfg : config;
@@ -61,42 +71,50 @@ type t = {
   graph : Graph.t;
   stream : Workload.t;
   links : Graph.link array;  (* indexed link table, list order *)
-  qs : dir_q array;  (* 2 per link: [2i] is a->b, [2i+1] is b->a *)
-  edge_index : (int * int, int) Hashtbl.t;  (* (min, max) -> link index *)
-  paths : (int * int, int list) Hashtbl.t;  (* (src, dst) -> dir_q ids *)
+  plinks : Plink.t array;  (* links.(i)'s plink, resolved at install *)
+  (* 2 per link, by direction as the plink numbers them: [2i] carries
+     min(a, b) -> max(a, b), [2i+1] the reverse. *)
+  qs : dir_q array;
+  (* [dq.(u * n + v)] is the directed-queue id of the hop u -> v, -1 when
+     u and v are not adjacent. *)
+  dq : int array;
+  (* Scratch for the flow being routed: its directed-queue ids in path
+     order.  A path is at most n + 1 hops (see [walk]). *)
+  path : int array;
+  sums : sums;
   mutable flows : int;
-  mutable offered : float;
-  mutable drained : float;
-  mutable dropped : float;
   mutable ticks : int;
-  mutable stopped : bool;
 }
 
 let dir_of u v = if u < v then 0 else 1
 
-(* Walk the underlay's next-hop tables from src to dst, returning the
-   directed-queue ids along the way.  Memoised; the cache is flushed on
-   every underlay topology upcall so chaos redirects background load the
-   same way it redirects packets. *)
-let route t src dst =
-  match Hashtbl.find_opt t.paths (src, dst) with
-  | Some p -> Some p
-  | None ->
-      let n = Graph.node_count t.graph in
-      let rec walk acc hops u =
-        if u = dst then Some (List.rev acc)
-        else if hops > n then None (* routing loop: treat as blackhole *)
-        else
-          match Underlay.next_hop t.under ~from:u ~dst with
-          | None -> None
-          | Some v -> (
-              match Hashtbl.find_opt t.edge_index (min u v, max u v) with
-              | None -> None
-              | Some li -> walk ((2 * li) + dir_of u v :: acc) (hops + 1) v)
-      in
-      let p = walk [] 0 src in
-      (match p with Some p -> Hashtbl.replace t.paths (src, dst) p | None -> ());
-      p
+(* The hop queue [qi] carries. *)
+let hop_of t qi =
+  let l = t.links.(qi / 2) in
+  let lo = min l.Graph.a l.Graph.b and hi = max l.Graph.a l.Graph.b in
+  if qi mod 2 = 0 then (lo, hi) else (hi, lo)
+
+(* Walk the underlay's next-hop table from [u] to [dst], writing the
+   directed-queue ids into [t.path] from index [hops] on.  Returns the
+   path length, or -1 for a blackhole: no next hop, no link for it, or
+   a routing loop (more than n hops).  Reading the current table on
+   every flow lets chaos redirect background load the same way it
+   redirects packets. *)
+let rec walk t dst u hops =
+  if u = dst then hops
+  else
+    let n = Graph.node_count t.graph in
+    if hops > n then -1
+    else
+      let v = Underlay.next_hop_id t.under ~from:u ~dst in
+      if v < 0 then -1
+      else
+        let q = t.dq.((u * n) + v) in
+        if q < 0 then -1
+        else begin
+          t.path.(hops) <- q;
+          walk t dst v (hops + 1)
+        end
 
 let capacity_bps t li = t.links.(li).Graph.bandwidth_bps
 
@@ -107,69 +125,61 @@ let queue_limit = float_of_int Vini_phys.Calibration.link_queue_bytes
 
 let fold t =
   let now_bin = Engine.now (Underlay.engine t.under) in
+  let sums = t.sums in
   (* 1. Pull every flow due by now and add its wire bytes along its
-     path.  Offered load is link-level (bytes x hops traversed), so it
-     balances against the per-link drain/drop/backlog sums below.  A
-     blackholed flow (no route) is dropped whole at the edge. *)
+     path, once the whole path is known.  Offered load is link-level
+     (bytes x hops traversed), so it balances against the per-link
+     drain/drop/backlog sums below.  A blackholed flow (no route) is
+     dropped whole at the edge. *)
   while Time.compare (Workload.peek_time t.stream) now_bin <= 0 do
     let f = Workload.next t.stream in
     t.flows <- t.flows + 1;
     let bytes = float_of_int f.Workload.wire_bytes in
-    match route t f.Workload.src_node f.Workload.dst_node with
-    | None ->
-        t.offered <- t.offered +. bytes;
-        t.dropped <- t.dropped +. bytes
-    | Some path ->
-        List.iter
-          (fun qi ->
-            t.offered <- t.offered +. bytes;
-            t.qs.(qi).inflow <- t.qs.(qi).inflow +. bytes)
-          path
+    let len = walk t f.Workload.dst_node f.Workload.src_node 0 in
+    if len < 0 then begin
+      sums.offered <- sums.offered +. bytes;
+      sums.dropped <- sums.dropped +. bytes
+    end
+    else
+      for i = 0 to len - 1 do
+        let q = t.qs.(t.path.(i)) in
+        sums.offered <- sums.offered +. bytes;
+        q.inflow <- q.inflow +. bytes
+      done
   done;
   (* 2. Drain each directed link at capacity for one tick; excess over
      the queue limit is dropped.  Offered = drained + dropped + backlog
      holds exactly (all float additions, same order every run). *)
   let tick_s = Time.to_sec_f t.cfg.tick in
-  Array.iteri
-    (fun qi q ->
-      let li = qi / 2 in
-      let l = t.links.(li) in
-      let cap_bytes_s = capacity_bps t li /. 8.0 in
-      let up = Underlay.link_is_up t.under l.Graph.a l.Graph.b in
-      let arrived = q.inflow in
-      let total = q.backlog +. arrived in
-      let drained, dropped, backlog =
-        if not up then (0.0, total, 0.0)
-        else begin
-          let drained = Float.min total (cap_bytes_s *. tick_s) in
-          let rest = total -. drained in
-          let dropped = Float.max 0.0 (rest -. queue_limit) in
-          (drained, dropped, rest -. dropped)
-        end
-      in
-      q.inflow <- 0.0;
-      q.backlog <- backlog;
-      t.drained <- t.drained +. drained;
-      t.dropped <- t.dropped +. dropped;
-      let load =
-        {
-          util =
-            (if cap_bytes_s *. tick_s > 0.0 then
-               Float.min 1.0 (drained /. (cap_bytes_s *. tick_s))
-             else 0.0);
-          queue_delay = Time.of_sec_f (backlog /. cap_bytes_s);
-          loss = (if total > 0.0 then Float.min 1.0 (dropped /. total) else 0.0);
-          offered_bps = arrived *. 8.0 /. tick_s;
-        }
-      in
-      q.last <- load;
-      (* 3. Hybrid coupling: the packet path on this link sees the fluid
-         queue as added delay and loss pressure. *)
-      if t.cfg.fidelity = Hybrid && up then
-        Plink.set_background
-          (Underlay.plink t.under l.Graph.a l.Graph.b)
-          ~dir:(qi mod 2) ~delay:load.queue_delay ~loss:load.loss)
-    t.qs
+  for qi = 0 to Array.length t.qs - 1 do
+    let q = t.qs.(qi) in
+    let li = qi / 2 in
+    let cap_bytes_s = capacity_bps t li /. 8.0 in
+    let cap_tick = cap_bytes_s *. tick_s in
+    let up = Plink.is_up t.plinks.(li) in
+    let arrived = q.inflow in
+    let total = q.backlog +. arrived in
+    let drained = if up then Float.min total cap_tick else 0.0 in
+    let rest = total -. drained in
+    let dropped =
+      if up then Float.max 0.0 (rest -. queue_limit) else total
+    in
+    let backlog = if up then rest -. dropped else 0.0 in
+    q.inflow <- 0.0;
+    q.backlog <- backlog;
+    sums.drained <- sums.drained +. drained;
+    sums.dropped <- sums.dropped +. dropped;
+    q.util <-
+      (if cap_tick > 0.0 then Float.min 1.0 (drained /. cap_tick) else 0.0);
+    q.delay_s <- backlog /. cap_bytes_s;
+    q.loss <- (if total > 0.0 then Float.min 1.0 (dropped /. total) else 0.0);
+    q.offered_bps <- arrived *. 8.0 /. tick_s;
+    (* 3. Hybrid coupling: the packet path on this link sees the fluid
+       queue as added delay and loss pressure. *)
+    if t.cfg.fidelity = Hybrid && up then
+      Plink.set_background t.plinks.(li) ~dir:(qi mod 2)
+        ~delay:(Time.of_sec_f q.delay_s) ~loss:q.loss
+  done
 
 let install ~under cfg =
   if Time.compare cfg.tick Time.zero <= 0 then
@@ -178,44 +188,48 @@ let install ~under cfg =
   | Ok () -> ()
   | Error e -> invalid_arg ("Fluid.install: " ^ e));
   let graph = Underlay.graph under in
+  let n = Graph.node_count graph in
   let links = Array.of_list (Graph.links graph) in
-  let edge_index = Hashtbl.create (Array.length links) in
+  let dq = Array.make (n * n) (-1) in
   Array.iteri
     (fun i l ->
-      Hashtbl.replace edge_index
-        (min l.Graph.a l.Graph.b, max l.Graph.a l.Graph.b)
-        i)
+      let a = l.Graph.a and b = l.Graph.b in
+      dq.((a * n) + b) <- (2 * i) + dir_of a b;
+      dq.((b * n) + a) <- (2 * i) + dir_of b a)
     links;
   let t =
     {
       cfg;
       under;
       graph;
-      stream = Workload.create cfg.workload ~nodes:(Graph.node_count graph);
+      stream = Workload.create cfg.workload ~nodes:n;
       links;
+      plinks =
+        Array.map (fun l -> Underlay.plink under l.Graph.a l.Graph.b) links;
       qs =
         Array.init
           (2 * Array.length links)
-          (fun _ -> { backlog = 0.0; inflow = 0.0; last = zero_load });
-      edge_index;
-      paths = Hashtbl.create 64;
+          (fun _ ->
+            {
+              backlog = 0.0;
+              inflow = 0.0;
+              util = 0.0;
+              delay_s = 0.0;
+              loss = 0.0;
+              offered_bps = 0.0;
+            });
+      dq;
+      path = Array.make (n + 1) 0;
+      sums = { offered = 0.0; drained = 0.0; dropped = 0.0 };
       flows = 0;
-      offered = 0.0;
-      drained = 0.0;
-      dropped = 0.0;
       ticks = 0;
-      stopped = false;
     }
   in
-  if cfg.fidelity <> Packet then begin
-    Underlay.subscribe under (fun _ -> Hashtbl.reset t.paths);
+  if cfg.fidelity <> Packet then
     Engine.every (Underlay.engine under) cfg.tick (fun () ->
-        if not t.stopped then begin
-          fold t;
-          t.ticks <- t.ticks + 1
-        end;
-        not t.stopped)
-  end;
+        fold t;
+        t.ticks <- t.ticks + 1;
+        true);
   t
 
 let config t = t.cfg
@@ -224,16 +238,30 @@ let totals t =
   let backlog = Array.fold_left (fun acc q -> acc +. q.backlog) 0.0 t.qs in
   {
     flows = t.flows;
-    offered_bytes = t.offered;
-    drained_bytes = t.drained;
-    dropped_bytes = t.dropped;
+    offered_bytes = t.sums.offered;
+    drained_bytes = t.sums.drained;
+    dropped_bytes = t.sums.dropped;
     backlog_bytes = backlog;
   }
 
+let load_of q =
+  {
+    util = q.util;
+    queue_delay = Time.of_sec_f q.delay_s;
+    loss = q.loss;
+    offered_bps = q.offered_bps;
+  }
+
 let link_load t ~a ~b =
-  match Hashtbl.find_opt t.edge_index (min a b, max a b) with
-  | None -> raise Not_found
-  | Some li -> t.qs.((2 * li) + dir_of a b).last
+  let n = Graph.node_count t.graph in
+  let qi = if a < 0 || b < 0 || a >= n || b >= n then -1 else t.dq.((a * n) + b) in
+  if qi < 0 then raise Not_found else load_of t.qs.(qi)
+
+let route t ~src ~dst =
+  let len = walk t dst src 0 in
+  if len < 0 then None
+  else
+    Some (List.init len (fun i -> hop_of t t.path.(i)))
 
 let ticks t = t.ticks
 
@@ -241,27 +269,24 @@ let to_json t =
   let tot = totals t in
   let per_link =
     List.concat
-      (List.mapi
-         (fun li (l : Graph.link) ->
+      (List.init (Array.length t.links) (fun li ->
            List.map
              (fun d ->
-               let q = t.qs.((2 * li) + d) in
-               let u, v =
-                 if d = 0 then (l.Graph.a, l.Graph.b) else (l.Graph.b, l.Graph.a)
-               in
+               let qi = (2 * li) + d in
+               let q = t.qs.(qi) in
+               let last = load_of q in
+               let u, v = hop_of t qi in
                Json.Obj
                  [
                    ("from", Json.Str (Graph.name t.graph u));
                    ("to", Json.Str (Graph.name t.graph v));
-                   ("util", Json.Num q.last.util);
-                   ( "queue_delay_ms",
-                     Json.Num (Time.to_ms_f q.last.queue_delay) );
-                   ("loss", Json.Num q.last.loss);
-                   ("offered_bps", Json.Num q.last.offered_bps);
+                   ("util", Json.Num last.util);
+                   ("queue_delay_ms", Json.Num (Time.to_ms_f last.queue_delay));
+                   ("loss", Json.Num last.loss);
+                   ("offered_bps", Json.Num last.offered_bps);
                    ("backlog_bytes", Json.Num q.backlog);
                  ])
-             [ 0; 1 ])
-         (Array.to_list t.links))
+             [ 0; 1 ]))
   in
   Json.Obj
     [

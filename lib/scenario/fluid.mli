@@ -62,10 +62,10 @@ type t
 val install :
   under:Vini_phys.Underlay.t -> config -> t
 (** Create the model and schedule its recurring tick on the
-    underlay's engine, starting one tick from now.  Routing follows the
-    underlay's current next-hop tables; path caches are invalidated on
-    underlay topology upcalls, so chaos events redirect background load
-    like they redirect packets.
+    underlay's engine, starting one tick from now.  Every fold walks
+    each flow along the underlay's current next-hop table (there is no
+    route cache), so chaos events redirect background load at the next
+    tick like they redirect packets.
     @raise Invalid_argument if the tick is not positive or the workload
     parameters fail {!Workload.validate}.  With [fidelity = Packet] no
     tick is scheduled and the model stays inert. *)
@@ -77,6 +77,13 @@ val link_load :
   t -> a:Vini_topo.Graph.node_id -> b:Vini_topo.Graph.node_id -> link_load
 (** Load on the directed link [a -> b] as of the last tick.
     @raise Not_found if the nodes are not adjacent. *)
+
+val route :
+  t -> src:Vini_topo.Graph.node_id -> dst:Vini_topo.Graph.node_id ->
+  (Vini_topo.Graph.node_id * Vini_topo.Graph.node_id) list option
+(** The directed links, in path order, that a flow from [src] to [dst]
+    would load if it arrived now; [None] when it would blackhole (for
+    tests and inspection). *)
 
 val ticks : t -> int
 

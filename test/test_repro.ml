@@ -233,6 +233,69 @@ let test_schedule_pin () =
   pin "iias" ~iias:true ~seed:2001 ~events:969935 ~pkts:208767
     ~mbps:"193.959816"
 
+(* The hybrid campaign of examples/specs/scenario.vini (inlined here): a
+   seeded 200-PoP backbone, a million simulated users folded into fluid
+   background load every 100 ms, and [central] crashing at 10 s and
+   restoring at 20 s.  It runs the way [vini run --spec ... --duration
+   12] does, so it crosses both chaos events.  Pins the fluid totals and
+   the ping replies. *)
+let campaign_spec =
+  {|experiment backbone-scenario
+slice reserved 0.25 rt
+topology generate backbone 200 seed 42
+workload users 1000000 seed 7 rate 0.002 bytes 50000 shape 1.5 skew 1
+fidelity hybrid tick 100ms
+node west
+node central
+node east
+node south
+link west central bw 1g delay 10ms weight 1000
+link central east bw 1g delay 12ms weight 1200
+link central south bw 1g delay 8ms  weight 800
+link east south bw 1g delay 6ms  weight 600
+routing ospf hello 5 dead 10
+ingress west pool 10.8.0.0/24
+egress east
+at 10 crash-node central
+at 20 restore-node central
+|}
+
+let test_campaign_pin () =
+  let module Time = Vini_sim.Time in
+  let module Spec_lang = Vini_core.Spec_lang in
+  let module Vini = Vini_core.Vini in
+  let module Fluid = Vini_scenario.Fluid in
+  let module Iias = Vini_overlay.Iias in
+  let module Ping = Vini_measure.Ping in
+  let ok = function Ok x -> x | Error e -> Alcotest.fail e in
+  let parsed = ok (Spec_lang.parse campaign_spec) in
+  let phys =
+    match ok (Spec_lang.substrate_graph parsed) with
+    | Some g -> g
+    | None -> Alcotest.fail "the spec declares a substrate"
+  in
+  let spec = ok (Spec_lang.to_spec parsed ~phys) in
+  let vini = Vini.create ~engine:(Vini_sim.Engine.create ~seed:1001 ()) ~graph:phys () in
+  let inst = Vini.deploy vini spec in
+  Vini.start inst;
+  Vini.run ~until:(Time.sec 0) vini;
+  let iias = Vini.iias inst in
+  let ping =
+    Ping.start
+      ~stack:(Iias.tap (Iias.vnode iias 0))
+      ~dst:(Iias.tap_addr (Iias.vnode iias 3))
+      ~count:48 ~mode:(Ping.Interval (Time.ms 250)) ()
+  in
+  Vini.run ~until:(Time.sec 22) vini;
+  let tot = Fluid.totals (Option.get (Vini.fluid inst)) in
+  let g = Printf.sprintf "%.17g" in
+  check Alcotest.int "flows" 43650 tot.Fluid.flows;
+  check Alcotest.string "offered bytes" "39549881103" (g tot.Fluid.offered_bytes);
+  check Alcotest.string "drained bytes" "39549881103" (g tot.Fluid.drained_bytes);
+  check Alcotest.string "dropped bytes" "0" (g tot.Fluid.dropped_bytes);
+  check Alcotest.string "backlog bytes" "0" (g tot.Fluid.backlog_bytes);
+  check Alcotest.int "ping replies" 36 (Ping.received ping)
+
 let suite =
   [
     Alcotest.test_case "deter ping shape (Table 3)" `Slow test_deter_ping_shape;
@@ -246,4 +309,5 @@ let suite =
     Alcotest.test_case "figure 7 paths" `Quick test_expected_paths;
     Alcotest.test_case "trace overhead < 10% (§ISSUE)" `Slow test_trace_overhead;
     Alcotest.test_case "deter tcp schedule pin" `Quick test_schedule_pin;
+    Alcotest.test_case "scenario campaign pin" `Quick test_campaign_pin;
   ]

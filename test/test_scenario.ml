@@ -320,6 +320,337 @@ let test_openvpn_wire_bytes () =
   check Alcotest.bool "crossing the MTU adds a second header" true
     (O.wire_bytes ~payload:(mss + 1) - O.wire_bytes ~payload:mss > 1)
 
+(* --- next-hop table and fluid routing vs. their oracles ------------------ *)
+
+(* The underlay's routing oracle: a fresh Dijkstra per source under the
+   weights it routes by (a down link, or a link into a crashed machine,
+   costs 100_000_000), and the first hop found by walking the [prev]
+   chain back from [dst].  A [prev] cycle, possible only with zero-weight
+   links, has no first hop: the walk gives up after n steps. *)
+let oracle_table graph ~link_up ~node_up =
+  let n = Graph.node_count graph in
+  let weight_of (l : Graph.link) =
+    if link_up l.Graph.a l.Graph.b && node_up.(l.Graph.a) && node_up.(l.Graph.b)
+    then l.Graph.weight
+    else 100_000_000
+  in
+  Array.init n (fun from ->
+      let _, prev = Graph.dijkstra ~weight_of graph from in
+      Array.init n (fun dst ->
+          let rec back v steps =
+            if steps > n then None
+            else
+              match prev.(v) with
+              | None -> None
+              | Some p when p = from -> Some v
+              | Some p -> back p (steps + 1)
+          in
+          if from = dst then None else back dst 0))
+
+(* The fluid model's former router: walk [Underlay.next_hop] from src to
+   dst (a walk longer than n hops is a loop, hence a blackhole),
+   memoised per (src, dst) and flushed on every underlay upcall. *)
+let memo_router under =
+  let n = Graph.node_count (Underlay.graph under) in
+  let paths = Hashtbl.create 64 in
+  Underlay.subscribe under (fun _ -> Hashtbl.reset paths);
+  fun src dst ->
+    match Hashtbl.find_opt paths (src, dst) with
+    | Some p -> Some p
+    | None ->
+        let rec walk acc hops u =
+          if u = dst then Some (List.rev acc)
+          else if hops > n then None
+          else
+            match Underlay.next_hop under ~from:u ~dst with
+            | None -> None
+            | Some v -> walk ((u, v) :: acc) (hops + 1) v
+        in
+        let p = walk [] 0 src in
+        (match p with Some p -> Hashtbl.replace paths (src, dst) p | None -> ());
+        p
+
+type routing_case = {
+  waxman : bool;
+  pops : int;
+  graph_seed : int;
+  zero_every : int;  (** every k-th link gets weight 0; 0 for none *)
+  mask : bool;
+  events : (bool * int * bool) list;  (** (link?, index, up) *)
+  wl_seed : int;
+}
+
+let print_routing_case c =
+  Printf.sprintf
+    "{%s %d seed %d zero_every %d mask %b wl_seed %d events [%s]}"
+    (if c.waxman then "waxman" else "backbone")
+    c.pops c.graph_seed c.zero_every c.mask c.wl_seed
+    (String.concat "; "
+       (List.map
+          (fun (link, i, up) ->
+            Printf.sprintf "%s %d %s" (if link then "link" else "node") i
+              (if up then "up" else "down"))
+          c.events))
+
+let gen_routing_case =
+  QCheck.Gen.(
+    map
+      (fun ((waxman, pops, graph_seed, zero_every), (mask, events, wl_seed)) ->
+        { waxman; pops; graph_seed; zero_every; mask; events; wl_seed })
+      (pair
+         (quad bool (int_range 4 20) (int_bound 10_000) (oneofl [ 0; 0; 2; 3 ]))
+         (triple bool
+            (list_size (int_range 1 10) (triple bool (int_bound 1000) bool))
+            (int_bound 10_000))))
+
+(* Zero weights are outside what specs and generators produce, but a
+   vini.topo/1 file may carry them; they are what makes a fluid walk
+   loop, so partial paths end in a blackhole. *)
+let routing_graph c =
+  let kind =
+    if c.waxman then Generate.waxman c.pops else Generate.backbone c.pops
+  in
+  let g = Generate.generate { Generate.kind; seed = c.graph_seed } in
+  if c.zero_every = 0 then g
+  else
+    Graph.create
+      ~names:(Array.init (Graph.node_count g) (Graph.name g))
+      ~links:
+        (List.mapi
+           (fun i (l : Graph.link) ->
+             if i mod c.zero_every = 0 then { l with Graph.weight = 0 } else l)
+           (Graph.links g))
+
+let prop_routing_matches_oracles =
+  QCheck.Test.make
+    ~name:"next-hop table and fluid paths match the prev-chain and memo walks"
+    ~count:200
+    (QCheck.make ~print:print_routing_case gen_routing_case)
+    (fun c ->
+      let graph = routing_graph c in
+      let n = Graph.node_count graph in
+      let links = Array.of_list (Graph.links graph) in
+      let engine = Engine.create ~seed:c.graph_seed () in
+      let under =
+        Underlay.create ~engine ~rng:(Vini_std.Rng.split (Engine.rng engine))
+          ~graph ~mask_failures:c.mask ()
+      in
+      let workload = Workload.default ~users:100_000 ~seed:c.wl_seed in
+      let tick = Fluid.default_tick in
+      let tick_s = Time.to_sec_f tick in
+      let fl = Fluid.install ~under { Fluid.fidelity = Fluid.Flow; tick; workload } in
+      let memo = memo_router under in
+      (* Oracle state: administrative link and node state, and the table
+         routing was last computed from (only masking recomputes it). *)
+      let link_state = Hashtbl.create 16 in
+      let link_up a b =
+        Option.value ~default:true (Hashtbl.find_opt link_state (min a b, max a b))
+      in
+      let node_up = Array.make n true in
+      let table = ref (oracle_table graph ~link_up ~node_up) in
+      (* Oracle accounting: the same flows, routed by the memo walk, their
+         bytes added in path order. *)
+      let stream = Workload.create workload ~nodes:n in
+      let flows = ref 0 and offered = ref 0.0 in
+      let inflow = Hashtbl.create 64 in
+      let inflow_of hop = Option.value ~default:0.0 (Hashtbl.find_opt inflow hop) in
+      let pull now =
+        while Time.compare (Workload.peek_time stream) now <= 0 do
+          let f = Workload.next stream in
+          incr flows;
+          let bytes = float_of_int f.Workload.wire_bytes in
+          match memo f.Workload.src_node f.Workload.dst_node with
+          | None -> offered := !offered +. bytes
+          | Some path ->
+              List.iter
+                (fun hop ->
+                  offered := !offered +. bytes;
+                  Hashtbl.replace inflow hop (inflow_of hop +. bytes))
+                path
+        done
+      in
+      let pp_path = function
+        | None -> "blackhole"
+        | Some p ->
+            String.concat " " (List.map (fun (u, v) -> Printf.sprintf "%d>%d" u v) p)
+      in
+      let check_tables step =
+        for from = 0 to n - 1 do
+          for dst = 0 to n - 1 do
+            let got = Underlay.next_hop under ~from ~dst in
+            let want = !table.(from).(dst) in
+            if got <> want then
+              QCheck.Test.fail_reportf "step %d: next_hop %d->%d = %s, oracle %s"
+                step from dst
+                (Option.fold ~none:"none" ~some:string_of_int got)
+                (Option.fold ~none:"none" ~some:string_of_int want);
+            let got = Fluid.route fl ~src:from ~dst and want = memo from dst in
+            if got <> want then
+              QCheck.Test.fail_reportf "step %d: fluid path %d->%d = %s, memo walk %s"
+                step from dst (pp_path got) (pp_path want)
+          done
+        done
+      in
+      let check_loads step =
+        let tot = Fluid.totals fl in
+        if tot.Fluid.flows <> !flows || tot.Fluid.offered_bytes <> !offered then
+          QCheck.Test.fail_reportf
+            "step %d: %d flows / %.17g offered bytes, oracle %d / %.17g" step
+            tot.Fluid.flows tot.Fluid.offered_bytes !flows !offered;
+        Array.iter
+          (fun (l : Graph.link) ->
+            List.iter
+              (fun (a, b) ->
+                let got = (Fluid.link_load fl ~a ~b).Fluid.offered_bps in
+                let want = inflow_of (a, b) *. 8.0 /. tick_s in
+                if got <> want then
+                  QCheck.Test.fail_reportf
+                    "step %d: offered on %d->%d = %.17g b/s, oracle %.17g" step a
+                    b got want)
+              [ (l.Graph.a, l.Graph.b); (l.Graph.b, l.Graph.a) ])
+          links;
+        Hashtbl.reset inflow
+      in
+      check_tables 0;
+      List.iteri
+        (fun i (is_link, idx, up) ->
+          let step = i + 1 in
+          if is_link then begin
+            let l = links.(idx mod Array.length links) in
+            Underlay.set_link_state under l.Graph.a l.Graph.b up;
+            Hashtbl.replace link_state (min l.Graph.a l.Graph.b, max l.Graph.a l.Graph.b) up
+          end
+          else begin
+            Underlay.set_node_state under (idx mod n) up;
+            node_up.(idx mod n) <- up
+          end;
+          if c.mask then table := oracle_table graph ~link_up ~node_up;
+          check_tables step;
+          let now = tick * step in
+          Engine.run ~until:now engine;
+          pull now;
+          check_loads step)
+        c.events;
+      true)
+
+(* Cutting a link reroutes background load at the next tick: nothing
+   lands on the cut link's queues, the detour carries it, and the bytes
+   still balance.  A ring leaves exactly one detour. *)
+let test_fluid_follows_chaos () =
+  let n = 5 in
+  let graph =
+    Graph.create
+      ~names:(Array.init n (Printf.sprintf "r%d"))
+      ~links:
+        (List.init n (fun i ->
+             {
+               Graph.a = i;
+               b = (i + 1) mod n;
+               bandwidth_bps = 1e10;
+               delay = Time.ms 1;
+               loss = 0.0;
+               weight = 1;
+             }))
+  in
+  let engine = Engine.create ~seed:3 () in
+  let under =
+    Underlay.create ~engine ~rng:(Vini_std.Rng.split (Engine.rng engine)) ~graph ()
+  in
+  let fl =
+    Fluid.install ~under
+      {
+        Fluid.fidelity = Fluid.Flow;
+        tick = Fluid.default_tick;
+        workload = Workload.default ~users:200_000 ~seed:4;
+      }
+  in
+  let offered a b = (Fluid.link_load fl ~a ~b).Fluid.offered_bps in
+  Engine.run ~until:(Time.sec 1) engine;
+  check Alcotest.bool "the link carries load before the cut" true
+    (offered 0 1 > 0.0 && offered 1 0 > 0.0);
+  let detour = [ (0, 4); (4, 3); (3, 2); (2, 1) ] in
+  let before = List.map (fun (a, b) -> offered a b) detour in
+  Underlay.set_link_state under 0 1 false;
+  Engine.run ~until:(Time.ms 1100) engine;
+  check Alcotest.(float 0.0) "no inflow on 0->1 after the cut" 0.0 (offered 0 1);
+  check Alcotest.(float 0.0) "no inflow on 1->0 after the cut" 0.0 (offered 1 0);
+  check
+    Alcotest.(option (list (pair int int)))
+    "0->1 takes the detour" (Some detour) (Fluid.route fl ~src:0 ~dst:1);
+  List.iter2
+    (fun (a, b) was ->
+      if offered a b <= was then
+        Alcotest.failf "detour hop %d->%d should carry more: %.0f -> %.0f b/s" a b
+          was (offered a b))
+    detour before;
+  check Alcotest.bool "conserved" true (conserved (Fluid.totals fl));
+  (* The export labels each queue with the hop it carries, also for the
+     ring's closing link, declared as 4 -- 0. *)
+  let exported a b =
+    match Fluid.to_json fl with
+    | Json.Obj fields -> (
+        match List.assoc "links" fields with
+        | Json.Arr rows ->
+            List.find_map
+              (function
+                | Json.Obj r
+                  when List.assoc "from" r = Json.Str (Printf.sprintf "r%d" a)
+                       && List.assoc "to" r = Json.Str (Printf.sprintf "r%d" b) -> (
+                    match List.assoc "offered_bps" r with
+                    | Json.Num x -> Some x
+                    | _ -> None)
+                | _ -> None)
+              rows
+        | _ -> None)
+    | _ -> None
+  in
+  check Alcotest.(option (float 0.0)) "export of 0->4" (Some (offered 0 4))
+    (exported 0 4);
+  check Alcotest.(option (float 0.0)) "export of 4->0" (Some (offered 4 0))
+    (exported 4 0)
+
+(* Routing a flow and draining the queues allocate nothing: the folds
+   cost no more minor words than the workload draws of the flows they
+   pull (replayed on a twin stream), the engine's dispatch of the same
+   ticks (measured on a bare timer), and a few words per fold.  One word
+   per flow or per queue would exceed that by a thousand. *)
+let test_fluid_fold_allocation () =
+  let engine, fl = make_fluid ~users:400_000 ~seed:11 () in
+  let tick = Fluid.default_tick in
+  let warm = Time.sec 1 and until = Time.sec 3 in
+  let ticks = (until - warm) / tick in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let twin = Workload.create (Fluid.config fl).Fluid.workload ~nodes:16 in
+  let draws ~from ~ticks =
+    for k = 1 to ticks do
+      let now = from + (k * tick) in
+      while Time.compare (Workload.peek_time twin) now <= 0 do
+        ignore (Workload.next twin)
+      done
+    done
+  in
+  let bare = Engine.create ~seed:11 () in
+  Engine.every bare tick (fun () -> true);
+  Engine.run ~until:warm engine;
+  Engine.run ~until:warm bare;
+  draws ~from:Time.zero ~ticks:(warm / tick);
+  let flows0 = (Fluid.totals fl).Fluid.flows in
+  let fold_words = words (fun () -> Engine.run ~until engine) in
+  let draw_words = words (fun () -> draws ~from:warm ~ticks) in
+  let dispatch_words = words (fun () -> Engine.run ~until bare) in
+  let flows = (Fluid.totals fl).Fluid.flows - flows0 in
+  check Alcotest.bool "flows pulled" true (flows > 1000);
+  let bound = draw_words +. dispatch_words +. (4.0 *. float_of_int ticks) in
+  if fold_words > bound then
+    Alcotest.failf
+      "%d folds of %d flows allocated %.0f words; draws %.0f + dispatch %.0f \
+       allow %.0f"
+      ticks flows fold_words draw_words dispatch_words bound
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_document_deterministic;
@@ -345,4 +676,8 @@ let suite =
       test_hybrid_installs_on_start;
     Alcotest.test_case "openvpn wire cost models encapsulation" `Quick
       test_openvpn_wire_bytes;
+    QCheck_alcotest.to_alcotest prop_routing_matches_oracles;
+    Alcotest.test_case "fluid follows chaos" `Quick test_fluid_follows_chaos;
+    Alcotest.test_case "fold allocates only the workload draws" `Quick
+      test_fluid_fold_allocation;
   ]
